@@ -8,7 +8,8 @@ three specs differing only in ``solver``, trained with
 :func:`repro.api.train` on the same small synthetic prefix — small enough
 (12 stored IDs) for the branch-and-bound MILP to certify optimality.  The
 exhaustive-enumeration optimum over the same stored instance is reported as
-ground truth.
+ground truth.  The MILP needs scipy (the ``exact`` extra); without it that
+row is skipped.
 
 Run with::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 
 import repro.api as api
+from repro.errors import DependencyError
 from repro.optimize import evaluate_assignment, solve_exact_enumeration
 from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
 
@@ -58,7 +60,11 @@ def main() -> None:
     first_training = None
     for spec in grid:
         start = time.monotonic()
-        training = api.train(spec, prefix)
+        try:
+            training = api.train(spec, prefix)
+        except DependencyError:
+            print(f"{spec.solver:>12} | skipped: needs scipy (pip install 'repro[exact]')")
+            continue
         elapsed = time.monotonic() - start
         if first_training is None:
             first_training = training

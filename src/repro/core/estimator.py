@@ -26,6 +26,8 @@ import numpy as np
 from repro.api.registry import register_estimator
 from repro.api.specs import OptHashSpec
 from repro.core.scheme import OptHashScheme
+from repro.kernels import get_backend
+from repro.kernels.probe_table import int64_keys
 from repro.sketches.base import (
     BYTES_PER_BUCKET,
     FrequencyEstimator,
@@ -101,6 +103,9 @@ class OptHashEstimator(FrequencyEstimator):
     count_stored_ids:
         Whether the stored IDs are charged against the memory footprint
         (one bucket-equivalent each, following Section 7.3).  On by default.
+    backend:
+        Kernel backend running the probe-table ingest and lookups
+        (see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -109,9 +114,12 @@ class OptHashEstimator(FrequencyEstimator):
         initial_frequencies: Optional[Dict[Hashable, float]] = None,
         count_stored_ids: bool = True,
         seed: Optional[int] = None,
+        backend: str = "auto",
     ) -> None:
         self.scheme = scheme
         self.seed = seed
+        self.backend = backend
+        self._kernel = get_backend(backend)
         self._count_stored_ids = count_stored_ids
         self._bucket_totals = np.zeros(scheme.num_buckets)
         self._bucket_counts = np.zeros(scheme.num_buckets)
@@ -155,8 +163,21 @@ class OptHashEstimator(FrequencyEstimator):
         Keys outside the scheme's hash table are ignored, exactly as in the
         scalar path; the surviving per-bucket additions happen in arrival
         order so the float accumulators stay bit-identical.
+
+        An integer key array against a scheme with a
+        :attr:`~repro.core.scheme.OptHashScheme.probe_table` (every stored
+        key an ``int64``-range int) runs as one ``opt_table_ingest`` kernel
+        call: probe the array table, scatter-add the hits.  Any other batch
+        or table (string keys, lists, a ``True``/``1.0`` key a dict would
+        match against ``1``) walks the dict, one lookup per key.
         """
         key_batch, count_array = as_key_batch(keys, counts)
+        int_keys = int64_keys(key_batch) if self.scheme.probe_table is not None else None
+        if int_keys is not None:
+            self._kernel.opt_table_ingest(
+                self._bucket_totals, self.scheme.probe_table, int_keys, count_array
+            )
+            return
         table = self.scheme.key_to_bucket
         buckets: list = []
         amounts: list = []
@@ -184,7 +205,7 @@ class OptHashEstimator(FrequencyEstimator):
         items = keys if isinstance(keys, np.ndarray) else list(keys)
         if len(items) == 0:
             return np.zeros(0, dtype=np.float64)
-        buckets = self.scheme.buckets_batch(items)
+        buckets = self.scheme.buckets_batch(items, kernel=self._kernel)
         counts = self._bucket_counts[buckets]
         totals = self._bucket_totals[buckets]
         return np.divide(
@@ -225,7 +246,7 @@ class OptHashEstimator(FrequencyEstimator):
     # introspection
     # ------------------------------------------------------------------
     def _describe_params(self) -> dict:
-        return {
+        params = {
             "num_buckets": self.scheme.num_buckets,
             "num_stored_ids": self.scheme.num_stored_ids,
             "classifier": (
@@ -235,6 +256,14 @@ class OptHashEstimator(FrequencyEstimator):
             ),
             "seed": self.seed,
         }
+        if self.backend != "auto":
+            params["backend"] = self.backend
+        return params
+
+    @property
+    def kernel_backend(self) -> str:
+        """The kernel backend executing the probe-table ingest and lookups."""
+        return self._kernel.name
 
     @property
     def bucket_totals(self) -> np.ndarray:
@@ -277,8 +306,8 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
     seed:
         Seed for the Bloom filter's hash functions.
     backend:
-        Kernel backend for the Bloom filter's batch hot paths
-        (see :mod:`repro.kernels`).
+        Kernel backend for the Bloom filter's batch hot paths and the
+        probe-table lookups (see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -294,6 +323,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
         self.scheme = scheme
         self.seed = seed
         self.backend = backend
+        self._kernel = get_backend(backend)
         self._count_stored_ids = count_stored_ids
         self._bucket_totals = np.zeros(scheme.num_buckets)
         self._bucket_counts = np.zeros(scheme.num_buckets)
@@ -369,7 +399,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
                 else [key_batch[i] for i in nonzero]
             )
             count_array = count_array[nonzero]
-        buckets = self.scheme.buckets_batch(items)
+        buckets = self.scheme.buckets_batch(items, kernel=self._kernel)
         np.add.at(self._bucket_totals, buckets, count_array.astype(np.float64))
         new_flags = self._bloom.observe_batch(key_batch)
         if new_flags.any():
@@ -402,7 +432,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
                 if isinstance(items, np.ndarray)
                 else [items[i] for i in indices]
             )
-            buckets = self.scheme.buckets_batch(subset)
+            buckets = self.scheme.buckets_batch(subset, kernel=self._kernel)
             counts = self._bucket_counts[buckets]
             totals = self._bucket_totals[buckets]
             estimates[indices] = np.divide(

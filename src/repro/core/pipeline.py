@@ -403,7 +403,7 @@ def train_opt_hash(
         )
     else:
         estimator = OptHashEstimator(
-            scheme, initial_frequencies=initial, seed=config.seed
+            scheme, initial_frequencies=initial, seed=config.seed, backend=config.backend
         )
 
     return TrainingResult(

@@ -5,7 +5,8 @@ After the optimization phase every prefix element has an integer hash code
 two parts:
 
 * ``h_S`` — an exact mapping from the IDs of elements seen in the prefix to
-  their learned bucket (a plain hash table);
+  their learned bucket (a plain hash table, mirrored as a linear-probe
+  array table when every ID is an integer);
 * ``h_U`` — a multi-class classifier over element features that predicts a
   bucket for elements *not* seen in the prefix.
 
@@ -19,7 +20,10 @@ from typing import Callable, Dict, Hashable, Optional, Sequence
 
 import numpy as np
 
+from repro.kernels import get_backend
+from repro.kernels.probe_table import ProbeTable, int64_keys
 from repro.ml.base import Classifier
+from repro.sketches.hashing import _is_int_key
 from repro.streams.stream import Element
 
 __all__ = ["OptHashScheme", "default_featurizer"]
@@ -30,8 +34,33 @@ def default_featurizer(element: Element) -> np.ndarray:
     return element.feature_array()
 
 
+def _probe_table_for(key_to_bucket: Dict[Hashable, int]) -> Optional[ProbeTable]:
+    """The array form of ``h_S``, or None unless every key is an int64 int.
+
+    Keys that are bools, floats, strings, or integers outside ``int64`` keep
+    the table dict-only: a dict matches ``True``/``1.0`` against ``1``, an
+    ``int64`` comparison would not.
+    """
+    low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    if not all(_is_int_key(key) and low <= key <= high for key in key_to_bucket):
+        return None
+    return ProbeTable.build(
+        np.fromiter((int(key) for key in key_to_bucket), np.int64, len(key_to_bucket)),
+        np.fromiter(key_to_bucket.values(), np.int64, len(key_to_bucket)),
+    )
+
+
 class OptHashScheme:
     """Learned mapping of elements to buckets.
+
+    ``key_to_bucket`` is the source of truth for ``h_S`` and is immutable
+    after construction.  When every stored key is a (non-bool) integer that
+    fits in ``int64``, the constructor also lays the table out as a
+    :class:`~repro.kernels.probe_table.ProbeTable` — open addressing with
+    linear probing, home slot from the splitmix64 fingerprint, full-key
+    comparison — which :meth:`buckets_batch` and the estimators' ingest
+    probe through the ``opt_table_*`` kernel ops instead of one dict lookup
+    per key (:attr:`probe_table` is None otherwise).
 
     Parameters
     ----------
@@ -64,6 +93,7 @@ class OptHashScheme:
                 )
         self.num_buckets = num_buckets
         self.key_to_bucket = dict(key_to_bucket)
+        self.probe_table = _probe_table_for(self.key_to_bucket)
         self.classifier = classifier
         self.featurizer = featurizer or default_featurizer
         # Classifier predictions are deterministic per key, so they are cached
@@ -102,15 +132,14 @@ class OptHashScheme:
             return np.zeros(len(elements), dtype=int)
         if len(elements) == 0:
             return np.zeros(0, dtype=int)
-        features = np.array(
-            [np.asarray(self.featurizer(element), dtype=float) for element in elements]
-        )
+        features = np.array([self.featurizer(element) for element in elements], dtype=float)
         buckets = np.asarray(self.classifier.predict(features), dtype=int)
-        for element, bucket in zip(elements, buckets):
-            self._prediction_cache[element.key] = int(bucket)
+        self._prediction_cache.update(
+            zip([element.key for element in elements], buckets.tolist())
+        )
         return buckets
 
-    def buckets_batch(self, elements: Sequence[Element]) -> np.ndarray:
+    def buckets_batch(self, elements: Sequence[Element], kernel=None) -> np.ndarray:
         """Vectorized :meth:`bucket_of` over many elements.
 
         Unseen, uncached elements are classified in one batched ``predict``
@@ -118,7 +147,15 @@ class OptHashScheme:
         cache.  Accepts raw keys as well as elements (raw keys only work
         when the featurizer needs nothing beyond the key, e.g. with the
         exact table or a key-based featurizer).
+
+        An integer key array against an integer table takes the array path:
+        one ``opt_table_lookup`` on ``kernel`` (a :mod:`repro.kernels`
+        backend; the ``auto`` one by default), then the classifier or cache
+        for the distinct missed keys only.
         """
+        int_keys = int64_keys(elements) if self.probe_table is not None else None
+        if int_keys is not None:
+            return self._int_buckets(int_keys, kernel or get_backend())
         items = list(elements)
         if items and not isinstance(items[0], Element):
             items = [Element(key=key) for key in items]
@@ -135,6 +172,26 @@ class OptHashScheme:
             dtype=np.int64,
             count=len(items),
         )
+
+    def _int_buckets(self, keys: np.ndarray, kernel) -> np.ndarray:
+        buckets = kernel.opt_table_lookup(self.probe_table, keys)
+        missed = np.flatnonzero(buckets < 0)
+        if missed.size == 0:
+            return buckets
+        if self.classifier is None:
+            buckets[missed] = 0
+            return buckets
+        distinct, inverse = np.unique(keys[missed], return_inverse=True)
+        distinct_keys = distinct.tolist()
+        cache = self._prediction_cache
+        uncached = [key for key in distinct_keys if key not in cache]
+        if uncached:
+            self.predict_buckets([Element(key=key) for key in uncached])
+        resolved = np.fromiter(
+            (cache[key] for key in distinct_keys), np.int64, len(distinct_keys)
+        )
+        buckets[missed] = resolved[inverse.reshape(-1)]
+        return buckets
 
     def precompute(self, elements: Sequence[Element]) -> None:
         """Batch-predict and cache buckets for many (unseen) elements.

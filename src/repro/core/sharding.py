@@ -205,9 +205,10 @@ def _trained_shard_factory(inner: OptHashSpec, context: dict) -> Callable:
             bloom_bits=inner.bloom_bits,
             expected_distinct=inner.expected_distinct,
             seed=inner.seed,
+            backend=inner.backend,
         )
     return lambda: OptHashEstimator(
-        scheme, initial_frequencies=initial, seed=inner.seed
+        scheme, initial_frequencies=initial, seed=inner.seed, backend=inner.backend
     )
 
 

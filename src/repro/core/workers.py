@@ -189,7 +189,10 @@ class ShardWorkerPool:
         max_pending: int = 4,
         supervised: bool = False,
     ) -> None:
-        ctx = multiprocessing.get_context()
+        # Pinned, not the platform default (forkserver on Linux from Python
+        # 3.14, spawn on macOS): the pool, its WAL lanes and the fail points
+        # are built and tested around forked workers.
+        ctx = multiprocessing.get_context("fork")
         self._ctx = ctx
         self._spec_dict = spec_dict
         self._max_pending = max_pending

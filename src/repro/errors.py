@@ -37,6 +37,7 @@ __all__ = [
     "ServiceError",
     "WALError",
     "WorkerDeadError",
+    "DependencyError",
 ]
 
 
@@ -114,4 +115,12 @@ class WorkerDeadError(ReproError, RuntimeError):
     """A shard worker process died while work was outstanding.
 
     Historical home: :mod:`repro.core.workers`.
+    """
+
+
+class DependencyError(ReproError, ImportError):
+    """An optional dependency a requested feature needs is not installed.
+
+    The message names the ``pip`` extra that provides it (``solver="milp"``
+    needs scipy: ``repro[exact]``).
     """

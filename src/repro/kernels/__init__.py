@@ -3,9 +3,11 @@
 Every table sketch boils down to the same three inner loops: hash a batch of
 keys (splitmix64 / FNV fingerprint, then Carter–Wegman multiply-mod-Mersenne-61
 or tabulation lookups), turn the hashes into table positions, and
-gather/scatter counters.  This package makes *which implementation runs those
-loops* a configuration choice, exactly like ``storage=`` made "where the
-counters live" one:
+gather/scatter counters.  The learned scheme adds a fourth: probing its
+exact key table (:class:`~repro.kernels.probe_table.ProbeTable`, the
+``opt_table_lookup`` / ``opt_table_ingest`` ops).  This package makes *which
+implementation runs those loops* a configuration choice, exactly like
+``storage=`` made "where the counters live" one:
 
 * ``numpy`` — the pure-NumPy reference implementation (the code every PR
   since PR 1 shipped, relocated here verbatim).  Always available; the

@@ -532,3 +532,48 @@ void repro_bloom_observe(uint8_t *bits, int64_t num_hashes, int64_t num_bits,
     }
     free(pos);
 }
+
+/* ------------------------------------------------------------------ */
+/* Learned-scheme probe table (repro/kernels/probe_table.py)          */
+/* ------------------------------------------------------------------ */
+
+/* Bucket of `key` in the linear-probe table, or -1: home slot is the
+ * seed-0 splitmix64 fingerprint masked to the power-of-two capacity; stop
+ * at a full-key match, an empty slot (bucket -1), or after max_probe. */
+static inline int64_t probe_bucket(const int64_t *tkeys,
+                                   const int64_t *tbuckets, uint64_t mask,
+                                   int64_t max_probe, int64_t key) {
+    uint64_t slot = fingerprint_int((uint64_t)key, 0) & mask;
+    int64_t p;
+    for (p = 0; p < max_probe; p++) {
+        int64_t bucket = tbuckets[slot];
+        if (bucket < 0) return -1;
+        if (tkeys[slot] == key) return bucket;
+        slot = (slot + 1) & mask;
+    }
+    return -1;
+}
+
+void repro_opt_table_lookup(const int64_t *tkeys, const int64_t *tbuckets,
+                            int64_t capacity, int64_t max_probe,
+                            const int64_t *keys, int64_t n, int64_t *out) {
+    uint64_t mask = (uint64_t)capacity - 1;
+    int64_t j;
+    for (j = 0; j < n; j++) {
+        out[j] = probe_bucket(tkeys, tbuckets, mask, max_probe, keys[j]);
+    }
+}
+
+/* Fused probe + scatter: hit keys add their count to totals[bucket] in
+ * arrival order, the order np.add.at applies them in. */
+void repro_opt_table_ingest(double *totals, const int64_t *tkeys,
+                            const int64_t *tbuckets, int64_t capacity,
+                            int64_t max_probe, const int64_t *keys,
+                            const int64_t *counts, int64_t n) {
+    uint64_t mask = (uint64_t)capacity - 1;
+    int64_t j;
+    for (j = 0; j < n; j++) {
+        int64_t bucket = probe_bucket(tkeys, tbuckets, mask, max_probe, keys[j]);
+        if (bucket >= 0) totals[bucket] += (double)counts[j];
+    }
+}

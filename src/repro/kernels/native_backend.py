@@ -55,6 +55,10 @@ _PROTOTYPES = {
     "repro_bloom_add": [_void_p, _i64, _i64] + _CTX_ARGTYPES,
     "repro_bloom_contains": [_void_p, _i64, _i64] + _CTX_ARGTYPES + [_void_p],
     "repro_bloom_observe": [_void_p, _i64, _i64] + _CTX_ARGTYPES + [_void_p],
+    # table keys, table buckets, capacity, max_probe, keys, n, out
+    "repro_opt_table_lookup": [_void_p, _void_p, _i64, _i64, _void_p, _i64, _void_p],
+    # totals, table keys, table buckets, capacity, max_probe, keys, counts, n
+    "repro_opt_table_ingest": [_void_p] * 3 + [_i64, _i64, _void_p, _void_p, _i64],
 }
 
 
@@ -304,3 +308,27 @@ class NativeBackend:
             _ptr(bits), plan.depth, bits.shape[0], *args, _ptr(out)
         )
         return out
+
+    # ------------------------------------------------------------------
+    # learned-scheme probe table
+    # ------------------------------------------------------------------
+    def opt_table_lookup(self, table, keys) -> np.ndarray:
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        out = np.empty(keys.shape[0], dtype=np.int64)
+        self._lib.repro_opt_table_lookup(
+            _ptr(table.keys), _ptr(table.buckets), table.capacity,
+            table.max_probe, _ptr(keys), keys.shape[0], _ptr(out),
+        )
+        return out
+
+    def opt_table_ingest(self, totals, table, keys, counts) -> None:
+        if totals.dtype != np.float64 or not self._kernel_ready(totals):
+            self._fallback.opt_table_ingest(totals, table, keys, counts)
+            return
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        counts64 = self._counts64(counts)
+        self._lib.repro_opt_table_ingest(
+            _ptr(totals), _ptr(table.keys), _ptr(table.buckets),
+            table.capacity, table.max_probe, _ptr(keys), _ptr(counts64),
+            keys.shape[0],
+        )

@@ -446,3 +446,11 @@ class NumbaBackend:
         mg, sh = _magic_for(bits.shape[0])
         return _bloom_observe(bits, plan.depth, scheme, a, b, tables, seeds,
                               key_mode, int_keys, fps, prepared.n, mg, sh)
+
+    # The probe-table ops run the NumPy reference: no njit probe loop ships
+    # without a leg that exercises it.
+    def opt_table_lookup(self, table, keys) -> np.ndarray:
+        return self._fallback.opt_table_lookup(table, keys)
+
+    def opt_table_ingest(self, totals, table, keys, counts) -> None:
+        self._fallback.opt_table_ingest(totals, table, keys, counts)

@@ -19,11 +19,21 @@ batch from ``as_key_batch``):
 * ``ams_ingest(counters, plan, keys, counts)`` — per-estimator signed sums.
 * ``bloom_add / bloom_contains / bloom_observe(bits, plan, keys)`` — bit
   sets, vectorized membership, and in-order first-occurrence marking.
+* ``opt_table_lookup(table, keys)`` — each ``int64`` key's bucket in a
+  :class:`~repro.kernels.probe_table.ProbeTable`, ``-1`` on a miss.
+* ``opt_table_ingest(totals, table, keys, counts)`` — scatter-add the counts
+  of hit keys into the float64 ``totals``, in arrival order; misses are
+  ignored.
+
+The ``opt_table`` ops take a contiguous ``int64`` key array (the caller
+converts); every other op takes any normalized key batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kernels.probe_table import ProbeTable
 
 __all__ = ["NumpyBackend"]
 
@@ -125,3 +135,33 @@ class NumpyBackend:
                 bits[column] = True
                 new_flags[index] = True
         return new_flags
+
+    # ------------------------------------------------------------------
+    # learned-scheme probe table
+    # ------------------------------------------------------------------
+    def opt_table_lookup(self, table, keys) -> np.ndarray:
+        """At most ``max_probe`` vectorized probe rounds over the batch.
+
+        Each round gathers the current slot of every key still searching;
+        a key stops on a full-key match (hit) or an empty slot (miss), the
+        rest move one slot on.
+        """
+        out = np.full(keys.shape[0], -1, dtype=np.int64)
+        mask = table.capacity - 1
+        pending = np.arange(keys.shape[0])
+        slots = ProbeTable.home_slots(keys, table.capacity)
+        for _ in range(table.max_probe):
+            found = table.buckets[slots]
+            hit = (table.keys[slots] == keys[pending]) & (found >= 0)
+            out[pending[hit]] = found[hit]
+            searching = ~hit & (found >= 0)
+            pending = pending[searching]
+            if pending.size == 0:
+                break
+            slots = (slots[searching] + 1) & mask
+        return out
+
+    def opt_table_ingest(self, totals, table, keys, counts) -> None:
+        buckets = self.opt_table_lookup(table, keys)
+        hit = buckets >= 0
+        np.add.at(totals, buckets[hit], counts[hit].astype(np.float64))

@@ -8,7 +8,9 @@ by the forest for per-split feature subsampling.
 
 The split search is vectorized per feature: candidate thresholds are the
 midpoints between consecutive sorted values, and class-count prefix sums give
-the impurity of every candidate split in one pass.
+the impurity of every candidate split in one pass.  Inference is vectorized
+too: ``fit`` flattens the tree into per-node arrays, and ``predict`` /
+``predict_proba`` descend all rows together, one tree level per step.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class DecisionTreeClassifier(Classifier):
         self._num_training_samples = X.shape[0]
         self._importances = np.zeros(self._num_features)
         self._root = self._build(X, encoded, depth=0)
+        self._flatten()
         total = self._importances.sum()
         self._importances = (
             self._importances / total if total > 0 else self._importances
@@ -201,30 +204,82 @@ class DecisionTreeClassifier(Classifier):
                 best_decrease = decrease
         return best
 
+    def _flatten(self) -> None:
+        """Per-node arrays of the fitted tree, in preorder (root is node 0).
+
+        ``_feature`` is -1 at leaves; ``_left``/``_right`` index child nodes;
+        ``_proba`` holds each node's normalized class counts.
+        """
+        nodes = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not node.is_leaf:
+                stack.extend((node.right, node.left))
+        index = {id(node): position for position, node in enumerate(nodes)}
+        # (feature, threshold, left, right) per node; leaves never read the
+        # last three.
+        rows = [
+            (-1, 0.0, -1, -1)
+            if node.is_leaf
+            else (node.feature, node.threshold, index[id(node.left)], index[id(node.right)])
+            for node in nodes
+        ]
+        feature, threshold, left, right = zip(*rows)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold, dtype=np.float64)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        # _children[node, went_left]: one gather picks the next node.
+        self._children = np.stack([self._right, self._left], axis=1)
+        self._prediction = np.array([node.prediction for node in nodes], dtype=int)
+        counts = np.array([node.class_counts for node in nodes], dtype=np.float64)
+        totals = counts.sum(axis=1, keepdims=True)
+        self._proba = np.divide(
+            counts,
+            totals,
+            out=np.full_like(counts, 1.0 / self._num_classes),
+            where=totals > 0,
+        )
+
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
     def _leaf_for(self, row: np.ndarray) -> _Node:
+        """Row-at-a-time descent through the node objects (the reference)."""
         node = self._root
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
         return node
 
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index of every row: all rows descend one level per step.
+
+        The same float64 ``<=`` as :meth:`_leaf_for`, so NaN features go
+        right in both.
+        """
+        leaves = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            nodes = leaves[rows]
+            feature = self._feature[nodes]
+            inner = feature >= 0
+            rows, nodes, feature = rows[inner], nodes[inner], feature[inner]
+            went_left = X[rows, feature] <= self._threshold[nodes]
+            leaves[rows] = self._children[nodes, went_left.view(np.int8)]
+        return leaves
+
     def predict(self, X) -> np.ndarray:
         check_fitted(self, "_root")
         X = as_2d_array(X)
-        encoded = np.array([self._leaf_for(row).prediction for row in X], dtype=int)
+        encoded = self._prediction[self._leaves(X)]
         return self._label_encoder.inverse_transform(encoded)
 
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "_root")
         X = as_2d_array(X)
-        proba = np.zeros((X.shape[0], self._num_classes))
-        for row_index, row in enumerate(X):
-            counts = self._leaf_for(row).class_counts
-            total = counts.sum()
-            proba[row_index] = counts / total if total > 0 else 1.0 / self._num_classes
-        return proba
+        return self._proba[self._leaves(X)]
 
     @property
     def classes_(self) -> np.ndarray:

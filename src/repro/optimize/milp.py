@@ -12,7 +12,9 @@ solves it with Gurobi; this module provides the same model (so Theorem 1 can
 be validated mechanically) plus a pure-Python branch-and-bound solver whose
 LP relaxations are handled by ``scipy.optimize.linprog`` (HiGHS).  It is
 intended for the small instances the paper itself uses the MILP on; the
-block coordinate descent remains the scalable solver.
+block coordinate descent remains the scalable solver.  scipy is optional
+(the ``exact`` extra) and imported only when a model is built, so the rest
+of the package imports and runs without it.
 
 For very small instances :func:`solve_exact_enumeration` finds the global
 optimum of Problem (1) by exhaustive search, which the tests use as an
@@ -28,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
+from repro.errors import DependencyError
 from repro.optimize.bcd import block_coordinate_descent
 from repro.optimize.objective import (
     BucketAssignment,
@@ -41,6 +42,19 @@ from repro.optimize.objective import (
 )
 
 __all__ = ["MilpModel", "MilpResult", "solve_milp", "solve_exact_enumeration"]
+
+
+def _scipy():
+    """``(scipy.sparse, scipy.optimize.linprog)``, imported on first use."""
+    try:
+        from scipy import sparse
+        from scipy.optimize import linprog
+    except ImportError as error:
+        raise DependencyError(
+            "the MILP solver (solver='milp') needs scipy, which is not "
+            "installed; install the exact extra: pip install 'repro[exact]'"
+        ) from error
+    return sparse, linprog
 
 
 class MilpModel:
@@ -121,6 +135,7 @@ class MilpModel:
     # model construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
+        sparse, _ = _scipy()
         n, b, M = self.num_elements, self.num_buckets, self.big_m
         f = self.frequencies
 
@@ -251,6 +266,7 @@ class MilpModel:
 
         Returns the scipy ``OptimizeResult``.
         """
+        _, linprog = _scipy()
         bounds = list(self.default_bounds)
         for index, value in fixed.items():
             bounds[index] = (value, value)

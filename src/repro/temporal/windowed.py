@@ -94,10 +94,11 @@ def _pane_factory(inner: EstimatorSpec, context: Optional[dict]):
                 bloom_bits=inner.bloom_bits,
                 expected_distinct=inner.expected_distinct,
                 seed=inner.seed,
+                backend=inner.backend,
             )
         else:
             factory = lambda: OptHashEstimator(  # noqa: E731
-                scheme, initial_frequencies={}, seed=inner.seed
+                scheme, initial_frequencies={}, seed=inner.seed, backend=inner.backend
             )
         return factory, training
     return (lambda: build(inner)), None

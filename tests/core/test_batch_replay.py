@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.pipeline import OptHashConfig, replay, train_opt_hash
 from repro.streams.stream import Element, FrequencyVector, Stream
 from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
@@ -142,3 +143,123 @@ class TestFrequencyVectorBatch:
     def test_counts_for_aligned_lookup(self):
         freq = FrequencyVector({"a": 3, "b": 1})
         assert freq.counts_for(["b", "missing", "a"]).tolist() == [1.0, 0.0, 3.0]
+
+
+class TestOptHashProbeTablePath:
+    """``OptHashEstimator.update_batch`` on integer arrays probes the array
+    table through a kernel backend; every other batch or table walks the
+    dict.  Both must equal a scalar ``update`` replay bit for bit."""
+
+    @staticmethod
+    def scheme(key_to_bucket, num_buckets=4, classifier=None, featurizer=None):
+        from repro.core.scheme import OptHashScheme
+
+        return OptHashScheme(num_buckets, key_to_bucket, classifier, featurizer)
+
+    @staticmethod
+    def replay_scalar(estimator, keys, counts):
+        for key, count in zip(keys, counts):
+            for _ in range(int(count)):
+                estimator.update(Element(key=key))
+        return estimator
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_int_arrays_match_scalar_replay(self, prefix_and_stream, backend):
+        from repro.core.estimator import OptHashEstimator
+
+        prefix, stream = prefix_and_stream
+        trained = _train(prefix, adaptive=False)
+        scheme = trained.scheme
+        assert scheme.probe_table is not None
+        initial = {key: 3.0 for key in scheme.key_to_bucket}
+        scalar = OptHashEstimator(scheme, initial_frequencies=initial)
+        batch = OptHashEstimator(scheme, initial_frequencies=initial, backend=backend)
+        assert batch.kernel_backend == backend
+        keys = stream.key_array()
+        counts = np.random.default_rng(5).integers(0, 4, size=len(keys))
+        self.replay_scalar(scalar, keys.tolist(), counts)
+        for start in range(0, len(keys), 257):
+            batch.update_batch(keys[start : start + 257], counts[start : start + 257])
+        assert scalar.bucket_totals.tobytes() == batch.bucket_totals.tobytes()
+        for dtype in (np.int32, np.uint16, np.uint64):
+            narrow = OptHashEstimator(scheme, initial_frequencies=initial, backend=backend)
+            narrow.update_batch(keys.astype(dtype), counts)
+            assert narrow.bucket_totals.tobytes() == batch.bucket_totals.tobytes()
+
+    @pytest.mark.parametrize(
+        "table, keys",
+        [
+            # String keys: no array table at all.
+            ({"a": 0, "b": 3}, ["a", "c", "b", "a"]),
+            # A dict matches True and 1.0 against the integer 1; the array
+            # table would not, so such tables stay dict-only.
+            ({True: 1, 7: 2}, np.array([1, 7, 0, 1])),
+            ({1.0: 3, 7: 2}, np.array([1, 7, 0, 1])),
+            ({2**63: 1, 7: 2}, np.array([7, 5])),
+        ],
+        ids=["str", "bool-key", "float-key", "beyond-int64-key"],
+    )
+    def test_dict_fallback_tables(self, table, keys):
+        from repro.core.estimator import OptHashEstimator
+
+        scheme = self.scheme(table)
+        assert scheme.probe_table is None
+        scalar, batch = OptHashEstimator(scheme), OptHashEstimator(scheme)
+        counts = np.arange(1, len(keys) + 1)
+        self.replay_scalar(scalar, list(keys), counts)
+        batch.update_batch(keys, counts)
+        assert scalar.bucket_totals.tobytes() == batch.bucket_totals.tobytes()
+        assert batch.bucket_totals.sum() > 0
+
+    def test_list_batches_and_uint64_overflow_use_the_dict(self):
+        from repro.core.estimator import OptHashEstimator
+
+        scheme = self.scheme({-1: 1, 5: 2, 2**63 - 1: 3})
+        assert scheme.probe_table is not None
+        big = np.array([2**64 - 1, 5, 2**63 - 1], dtype=np.uint64)
+        for keys in ([5, -1, 5, 9], big, [Element(key=-1), Element(key=5)]):
+            scalar, batch = OptHashEstimator(scheme), OptHashEstimator(scheme)
+            plain = [key.key if isinstance(key, Element) else key for key in keys]
+            self.replay_scalar(scalar, plain, np.ones(len(plain)))
+            batch.update_batch(keys)
+            assert scalar.bucket_totals.tobytes() == batch.bucket_totals.tobytes()
+        # 2**64 - 1 is not the stored -1: only 5 and 2**63 - 1 land.
+        assert batch.bucket_totals.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    def test_merge_stays_bit_identical(self, prefix_and_stream):
+        from repro.core.estimator import OptHashEstimator
+
+        prefix, stream = prefix_and_stream
+        scheme = _train(prefix, adaptive=False).scheme
+        initial = {key: 2.0 for key in scheme.key_to_bucket}
+        keys = stream.key_array()
+        whole = OptHashEstimator(scheme, initial_frequencies=initial)
+        whole.update_batch(keys)
+        left = OptHashEstimator(scheme, initial_frequencies=initial, backend="numpy")
+        right = OptHashEstimator(scheme, initial_frequencies=initial)
+        left.update_batch(keys[: len(keys) // 3])
+        right.update_batch(keys[len(keys) // 3 :])
+        merged = left.merge(right)
+        assert merged.bucket_totals.tobytes() == whole.bucket_totals.tobytes()
+
+    @pytest.mark.parametrize("with_classifier", [True, False])
+    def test_buckets_batch_matches_bucket_of(self, with_classifier):
+        from repro.ml.tree import DecisionTreeClassifier
+
+        def featurizer(element):
+            return np.array([np.log1p(abs(float(element.key)))])
+
+        stored = {key: key % 4 for key in range(0, 400, 7)}
+        classifier = None
+        if with_classifier:
+            X = np.array([featurizer(Element(key=key)) for key in stored])
+            classifier = DecisionTreeClassifier(max_depth=3).fit(X, list(stored.values()))
+        keys = np.random.default_rng(2).integers(-50, 600, size=3000)
+        batched = self.scheme(stored, classifier=classifier, featurizer=featurizer)
+        scalar = self.scheme(stored, classifier=classifier, featurizer=featurizer)
+        expected = [scalar.bucket_of(Element(key=int(key))) for key in keys]
+        for name in kernels.available_backends():
+            got = batched.buckets_batch(keys, kernel=kernels.get_backend(name))
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+        assert batched.buckets_batch(keys[:0]).shape == (0,)

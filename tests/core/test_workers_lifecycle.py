@@ -273,3 +273,27 @@ def test_join_raises_when_worker_killed_mid_stream():
         pool.close(timeout=1.0)
         sharded._worker_pool = None  # already closed; skip the drain
         sharded.close()
+
+
+
+def test_pool_pins_the_fork_start_method(monkeypatch):
+    """The pool never inherits the platform default start method.
+
+    Python 3.14 makes ``forkserver`` the Linux default (macOS already
+    defaults to ``spawn``).  With the default context patched to ``spawn``,
+    the pool must still ask for, and start, ``fork`` workers.
+    """
+    import multiprocessing
+
+    real_get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda method=None: real_get_context(method or "spawn"),
+    )
+    sharded, pool = _shm_pool()
+    try:
+        assert pool._ctx.get_start_method() == "fork"
+        assert {type(worker.process).__name__ for worker in pool._workers} == {"ForkProcess"}
+    finally:
+        sharded.close()

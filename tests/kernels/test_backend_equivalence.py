@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import kernels
 from repro.errors import KernelError
+from repro.kernels.probe_table import ProbeTable
 from repro.sketches import AmsSketch, BloomFilter, CountMinSketch, CountSketch
 
 SCHEMES = ("universal", "tabulation")
@@ -283,6 +284,85 @@ class TestHypothesisIdentity:
                 ref.observe_batch(keys), fast.observe_batch(keys)
             )
             np.testing.assert_array_equal(ref._bits, fast._bits)
+
+
+# ----------------------------------------------------------------------
+# learned-scheme probe table: every backend against a dict reference
+# ----------------------------------------------------------------------
+int64_key = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+EXTREME_KEYS = [0, 1, -1, 2**63 - 1, -(2**63), 2**62, -(2**62)]
+
+
+def build_table(stored, num_buckets, tight, seed=0):
+    stored = list(dict.fromkeys(stored))
+    buckets = np.random.default_rng(seed).integers(0, num_buckets, size=len(stored))
+    # `tight` packs the keys into the smallest power of two that holds them:
+    # long probe chains, wrap-around, and (at n = capacity) a full table.
+    capacity = 1 << max(0, len(stored) - 1).bit_length() if tight else None
+    table = ProbeTable.build(np.array(stored, dtype=np.int64), buckets, capacity=capacity)
+    return table, dict(zip(stored, buckets.tolist()))
+
+
+def assert_table_ops_match_dict(table, mapping, keys, counts, num_buckets):
+    keys = np.array(keys, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    expected = np.array([mapping.get(key, -1) for key in keys.tolist()], dtype=np.int64)
+    expected_totals = np.zeros(num_buckets)
+    hit = expected >= 0
+    np.add.at(expected_totals, expected[hit], counts[hit].astype(np.float64))
+    for name in kernels.available_backends():
+        backend = kernels.get_backend(name)
+        np.testing.assert_array_equal(backend.opt_table_lookup(table, keys), expected)
+        totals = np.zeros(num_buckets)
+        backend.opt_table_ingest(totals, table, keys, counts)
+        np.testing.assert_array_equal(totals, expected_totals)
+
+
+class TestProbeTableIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stored=st.lists(int64_key | st.sampled_from(EXTREME_KEYS), max_size=40),
+        unseen=st.lists(int64_key | st.sampled_from(EXTREME_KEYS), max_size=30),
+        tight=st.booleans(),
+        data=st.data(),
+    )
+    def test_lookup_and_ingest(self, stored, unseen, tight, data):
+        table, mapping = build_table(stored, 7, tight)
+        assert np.count_nonzero(table.buckets >= 0) == len(mapping)
+        pool = list(mapping) + unseen
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=80)) if pool else []
+        counts = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=10**6),
+                min_size=len(keys),
+                max_size=len(keys),
+            )
+        )
+        assert_table_ops_match_dict(table, mapping, keys, counts, 7)
+
+    @pytest.mark.parametrize("num_stored", [0, 1, 2, 3, 5, 31, 64])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_sizes_repeats_and_empty_batches(self, num_stored, tight):
+        rng = np.random.default_rng(num_stored)
+        stored = rng.integers(-(2**63), 2**63 - 1, size=num_stored, dtype=np.int64).tolist()
+        table, mapping = build_table(stored, 5, tight, seed=num_stored)
+        assert table.capacity & (table.capacity - 1) == 0
+        assert table.capacity >= (len(mapping) if tight else 2 * len(mapping))
+        keys = (stored * 3) + EXTREME_KEYS + rng.integers(-50, 50, size=40).tolist()
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+        counts = rng.integers(0, 4, size=len(keys))
+        assert_table_ops_match_dict(table, mapping, keys, counts, 5)
+        assert_table_ops_match_dict(table, mapping, [], [], 5)
+
+    def test_build_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            ProbeTable.build(np.array([1, 1]), np.array([0, 1]))
+        with pytest.raises(ValueError):
+            ProbeTable.build(np.array([1]), np.array([-1]))
+        with pytest.raises(ValueError):
+            ProbeTable.build(np.arange(4), np.zeros(4), capacity=6)
+        with pytest.raises(ValueError):
+            ProbeTable.build(np.arange(4), np.zeros(4), capacity=2)
 
 
 # ----------------------------------------------------------------------

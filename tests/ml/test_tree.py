@@ -134,3 +134,65 @@ def test_unrestricted_tree_fits_training_data(num_samples, seed):
     y = rng.integers(0, 3, size=num_samples)
     tree = DecisionTreeClassifier().fit(X, y)
     assert tree.score(X, y) == 1.0
+
+
+class TestVectorizedInference:
+    """``predict``/``predict_proba`` descend all rows at once; the per-row
+    ``_leaf_for`` walk over the node objects is the reference."""
+
+    @staticmethod
+    def reference(tree, X):
+        leaves = [tree._leaf_for(row) for row in np.asarray(X, dtype=float)]
+        labels = tree._label_encoder.inverse_transform(
+            np.array([leaf.prediction for leaf in leaves], dtype=int)
+        )
+        proba = np.array([leaf.class_counts / leaf.class_counts.sum() for leaf in leaves])
+        return labels, proba.reshape(len(leaves), -1)
+
+    def assert_matches_reference(self, tree, X):
+        labels, proba = self.reference(tree, X)
+        np.testing.assert_array_equal(tree.predict(X), labels)
+        np.testing.assert_array_equal(tree.predict_proba(X), proba)
+
+    @given(
+        num_samples=st.integers(min_value=2, max_value=80),
+        num_features=st.integers(min_value=1, max_value=4),
+        max_depth=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_data(self, num_samples, num_features, max_depth, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(num_samples, num_features)).round(1)
+        y = rng.integers(0, 4, size=num_samples)
+        tree = DecisionTreeClassifier(max_depth=max_depth, random_state=seed).fit(X, y)
+        self.assert_matches_reference(tree, X)
+        self.assert_matches_reference(tree, rng.normal(size=(50, num_features)))
+
+    def test_rows_exactly_at_a_threshold_go_left(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 2))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
+        splits = tree._feature >= 0
+        on_threshold = np.zeros((int(splits.sum()), 2))
+        on_threshold[np.arange(len(on_threshold)), tree._feature[splits]] = tree._threshold[splits]
+        self.assert_matches_reference(tree, on_threshold)
+        # Nodes are in preorder, so the root's left subtree is 1..right-1.
+        row = np.zeros((1, 2))
+        row[0, tree._feature[0]] = tree._threshold[0]
+        assert 1 <= tree._leaves(row)[0] < tree._right[0]
+
+    def test_nan_features_go_right(self):
+        X = np.array([[0.0], [1.0], [10.0], [11.0]])
+        y = np.array([0, 0, 1, 1])
+        tree = DecisionTreeClassifier().fit(X, y)
+        queries = np.array([[np.nan], [0.0], [np.nan]])
+        self.assert_matches_reference(tree, queries)
+        assert tree.predict(queries).tolist() == [1, 0, 1]
+
+    def test_single_leaf_and_empty_batch(self):
+        tree = DecisionTreeClassifier().fit(np.array([[1.0], [2.0]]), np.array([5, 5]))
+        assert tree.predict(np.array([[0.0], [9.0]])).tolist() == [5, 5]
+        assert tree.predict(np.zeros((0, 1))).shape == (0,)
+        assert tree.predict_proba(np.zeros((0, 1))).shape == (0, 1)
