@@ -38,6 +38,7 @@ _XOR_TABULATION = _U(0x3C3C3C3C)
 _S8, _S27, _S29, _S30, _S31, _S32, _S61 = (
     _U(8), _U(27), _U(29), _U(30), _U(31), _U(32), _U(61),
 )
+_ZERO = _U(0)
 _ONE = _U(1)
 _EIGHT = _U(8)
 
@@ -324,6 +325,36 @@ def _bloom_observe(bits, depth, scheme, a, b, tables, seeds, key_mode, keys,
     return out
 
 
+@njit(cache=True, nogil=True)
+def _probe_bucket(tkeys, tbuckets, mask, max_probe, key):
+    # Linear probe from the seed-0 splitmix64 home slot; keys compare as
+    # their uint64 bit patterns, which is int64 equality.
+    slot = _fp_int(key, _ZERO) & mask
+    for _ in range(max_probe):
+        bucket = tbuckets[slot]
+        if bucket < 0:
+            return np.int64(-1)
+        if tkeys[slot] == key:
+            return bucket
+        slot = (slot + _ONE) & mask
+    return np.int64(-1)
+
+
+@njit(cache=True, nogil=True)
+def _opt_table_lookup(tkeys, tbuckets, mask, max_probe, keys, out):
+    for j in range(keys.shape[0]):
+        out[j] = _probe_bucket(tkeys, tbuckets, mask, max_probe, keys[j])
+
+
+@njit(cache=True, nogil=True)
+def _opt_table_ingest(totals, tkeys, tbuckets, mask, max_probe, keys, counts):
+    # Hits add in arrival order, the order np.add.at applies them in.
+    for j in range(keys.shape[0]):
+        bucket = _probe_bucket(tkeys, tbuckets, mask, max_probe, keys[j])
+        if bucket >= 0:
+            totals[bucket] += np.float64(counts[j])
+
+
 class NumbaBackend:
     """Fused ``@njit`` kernels; bit-identical to :class:`NumpyBackend`."""
 
@@ -447,10 +478,25 @@ class NumbaBackend:
         return _bloom_observe(bits, plan.depth, scheme, a, b, tables, seeds,
                               key_mode, int_keys, fps, prepared.n, mg, sh)
 
-    # The probe-table ops run the NumPy reference: no njit probe loop ships
-    # without a leg that exercises it.
+    # ------------------------------------------------------------------
+    # learned-scheme probe table
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _probe_args(table, keys):
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        return (table.keys.view(np.uint64), table.buckets,
+                _U(table.capacity - 1), table.max_probe, keys.view(np.uint64))
+
     def opt_table_lookup(self, table, keys) -> np.ndarray:
-        return self._fallback.opt_table_lookup(table, keys)
+        args = self._probe_args(table, keys)
+        out = np.empty(args[-1].shape[0], dtype=np.int64)
+        _opt_table_lookup(*args, out)
+        return out
 
     def opt_table_ingest(self, totals, table, keys, counts) -> None:
-        self._fallback.opt_table_ingest(totals, table, keys, counts)
+        if totals.dtype != np.float64:
+            self._fallback.opt_table_ingest(totals, table, keys, counts)
+            return
+        tkeys, tbuckets, mask, max_probe, ukeys = self._probe_args(table, keys)
+        _opt_table_ingest(totals, tkeys, tbuckets, mask, max_probe, ukeys,
+                          self._counts64(counts))

@@ -18,8 +18,6 @@ the longest probe sequence any stored key needed — whichever comes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.sketches.hashing import fingerprint64_batch
@@ -45,31 +43,19 @@ class ProbeTable:
         return (fingerprint64_batch(keys) & np.uint64(capacity - 1)).astype(np.intp)
 
     @classmethod
-    def build(cls, keys, buckets, capacity: Optional[int] = None) -> "ProbeTable":
+    def build(cls, keys, buckets) -> "ProbeTable":
         """Lay out distinct ``int64`` keys and their non-negative buckets.
 
-        ``capacity`` defaults to the smallest power of two ≥ ``2 * len(keys)``
-        (at least 1); an explicit value must be a power of two ≥ the key
-        count.  Insertion runs in rounds: every key still unplaced tries its
-        next probe slot, and of several keys claiming the same empty slot the
-        earliest in ``keys`` wins.  Slots are never freed, so each stored
+        The capacity is the smallest power of two ≥ ``2 * len(keys)`` (at
+        least 1).  Insertion runs in rounds: every key still unplaced tries
+        its next probe slot, and of several keys claiming the same empty slot
+        the earliest in ``keys`` wins.  Slots are never freed, so each stored
         key's probe path is fully occupied — the linear-probe invariant.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         buckets = np.ascontiguousarray(buckets, dtype=np.int64)
         n = keys.shape[0]
-        if buckets.shape != (n,):
-            raise ValueError("buckets must align one-to-one with keys")
-        if n and buckets.min() < 0:
-            raise ValueError("buckets must be non-negative")
-        if np.unique(keys).shape[0] != n:
-            raise ValueError("table keys must be distinct")
-        if capacity is None:
-            capacity = 1 << (2 * n - 1).bit_length() if n else 1
-        if capacity < max(n, 1) or capacity & (capacity - 1):
-            raise ValueError(
-                f"capacity must be a power of two >= {max(n, 1)}, got {capacity}"
-            )
+        capacity = 1 << (2 * n - 1).bit_length() if n else 1
         table_keys = np.zeros(capacity, dtype=np.int64)
         table_buckets = np.full(capacity, -1, dtype=np.int64)
         pending = np.arange(n)

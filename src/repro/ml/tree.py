@@ -207,7 +207,8 @@ class DecisionTreeClassifier(Classifier):
     def _flatten(self) -> None:
         """Per-node arrays of the fitted tree, in preorder (root is node 0).
 
-        ``_feature`` is -1 at leaves; ``_left``/``_right`` index child nodes;
+        ``_feature`` is -1 at leaves; ``_children[node, went_left]`` is the
+        next node (column 0 the right child, column 1 the left);
         ``_proba`` holds each node's normalized class counts.
         """
         nodes = []
@@ -218,21 +219,19 @@ class DecisionTreeClassifier(Classifier):
             if not node.is_leaf:
                 stack.extend((node.right, node.left))
         index = {id(node): position for position, node in enumerate(nodes)}
-        # (feature, threshold, left, right) per node; leaves never read the
+        # (feature, threshold, right, left) per node; leaves never read the
         # last three.
         rows = [
             (-1, 0.0, -1, -1)
             if node.is_leaf
-            else (node.feature, node.threshold, index[id(node.left)], index[id(node.right)])
+            else (node.feature, node.threshold, index[id(node.right)], index[id(node.left)])
             for node in nodes
         ]
-        feature, threshold, left, right = zip(*rows)
+        feature, threshold, right, left = zip(*rows)
         self._feature = np.array(feature, dtype=np.intp)
         self._threshold = np.array(threshold, dtype=np.float64)
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
         # _children[node, went_left]: one gather picks the next node.
-        self._children = np.stack([self._right, self._left], axis=1)
+        self._children = np.array([right, left], dtype=np.intp).T.copy()
         self._prediction = np.array([node.prediction for node in nodes], dtype=int)
         counts = np.array([node.class_counts for node in nodes], dtype=np.float64)
         totals = counts.sum(axis=1, keepdims=True)

@@ -293,14 +293,18 @@ int64_key = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 EXTREME_KEYS = [0, 1, -1, 2**63 - 1, -(2**63), 2**62, -(2**62)]
 
 
-def build_table(stored, num_buckets, tight, seed=0):
+def build_table(stored, num_buckets, seed=0):
     stored = list(dict.fromkeys(stored))
     buckets = np.random.default_rng(seed).integers(0, num_buckets, size=len(stored))
-    # `tight` packs the keys into the smallest power of two that holds them:
-    # long probe chains, wrap-around, and (at n = capacity) a full table.
-    capacity = 1 << max(0, len(stored) - 1).bit_length() if tight else None
-    table = ProbeTable.build(np.array(stored, dtype=np.int64), buckets, capacity=capacity)
+    table = ProbeTable.build(np.array(stored, dtype=np.int64), buckets)
     return table, dict(zip(stored, buckets.tolist()))
+
+
+def keys_homed_at(slot, capacity, count):
+    """The first ``count`` non-negative integers whose home slot is ``slot``."""
+    candidates = np.arange(64 * capacity * count, dtype=np.int64)
+    homed = candidates[ProbeTable.home_slots(candidates, capacity) == slot]
+    return homed[:count].tolist()
 
 
 def assert_table_ops_match_dict(table, mapping, keys, counts, num_buckets):
@@ -323,11 +327,10 @@ class TestProbeTableIdentity:
     @given(
         stored=st.lists(int64_key | st.sampled_from(EXTREME_KEYS), max_size=40),
         unseen=st.lists(int64_key | st.sampled_from(EXTREME_KEYS), max_size=30),
-        tight=st.booleans(),
         data=st.data(),
     )
-    def test_lookup_and_ingest(self, stored, unseen, tight, data):
-        table, mapping = build_table(stored, 7, tight)
+    def test_lookup_and_ingest(self, stored, unseen, data):
+        table, mapping = build_table(stored, 7)
         assert np.count_nonzero(table.buckets >= 0) == len(mapping)
         pool = list(mapping) + unseen
         keys = data.draw(st.lists(st.sampled_from(pool), max_size=80)) if pool else []
@@ -341,28 +344,30 @@ class TestProbeTableIdentity:
         assert_table_ops_match_dict(table, mapping, keys, counts, 7)
 
     @pytest.mark.parametrize("num_stored", [0, 1, 2, 3, 5, 31, 64])
-    @pytest.mark.parametrize("tight", [False, True])
-    def test_sizes_repeats_and_empty_batches(self, num_stored, tight):
+    def test_sizes_repeats_and_empty_batches(self, num_stored):
         rng = np.random.default_rng(num_stored)
         stored = rng.integers(-(2**63), 2**63 - 1, size=num_stored, dtype=np.int64).tolist()
-        table, mapping = build_table(stored, 5, tight, seed=num_stored)
+        table, mapping = build_table(stored, 5, seed=num_stored)
         assert table.capacity & (table.capacity - 1) == 0
-        assert table.capacity >= (len(mapping) if tight else 2 * len(mapping))
+        assert table.capacity >= 2 * len(mapping)
         keys = (stored * 3) + EXTREME_KEYS + rng.integers(-50, 50, size=40).tolist()
         keys = [keys[i] for i in rng.permutation(len(keys))]
         counts = rng.integers(0, 4, size=len(keys))
         assert_table_ops_match_dict(table, mapping, keys, counts, 5)
         assert_table_ops_match_dict(table, mapping, [], [], 5)
 
-    def test_build_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ProbeTable.build(np.array([1, 1]), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            ProbeTable.build(np.array([1]), np.array([-1]))
-        with pytest.raises(ValueError):
-            ProbeTable.build(np.arange(4), np.zeros(4), capacity=6)
-        with pytest.raises(ValueError):
-            ProbeTable.build(np.arange(4), np.zeros(4), capacity=2)
+    def test_probe_chain_wraps_around(self):
+        # Capacity 8 holds four keys.  Three homed on the last slot and one
+        # on slot 0 fill slots 7, 0, 1, 2: the chain wraps past the end, and
+        # misses homed on slot 7 or 0 walk it to the empty slot 3.
+        on_last = keys_homed_at(7, 8, 5)
+        on_first = keys_homed_at(0, 8, 3)
+        table, mapping = build_table(on_last[:3] + on_first[:1], 3)
+        assert table.capacity == 8 and table.max_probe == 4
+        assert np.flatnonzero(table.buckets >= 0).tolist() == [0, 1, 2, 7]
+        keys = (on_last + on_first) * 2
+        counts = np.arange(1, len(keys) + 1)
+        assert_table_ops_match_dict(table, mapping, keys, counts, 3)
 
 
 # ----------------------------------------------------------------------

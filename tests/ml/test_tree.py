@@ -181,7 +181,7 @@ class TestVectorizedInference:
         # Nodes are in preorder, so the root's left subtree is 1..right-1.
         row = np.zeros((1, 2))
         row[0, tree._feature[0]] = tree._threshold[0]
-        assert 1 <= tree._leaves(row)[0] < tree._right[0]
+        assert 1 <= tree._leaves(row)[0] < tree._children[0, 0]
 
     def test_nan_features_go_right(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
