@@ -28,6 +28,8 @@ from repro.streams.stream import Element
 
 __all__ = ["OptHashScheme", "default_featurizer"]
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 def default_featurizer(element: Element) -> np.ndarray:
     """Use the element's own feature vector as classifier input."""
@@ -41,13 +43,31 @@ def _probe_table_for(key_to_bucket: Dict[Hashable, int]) -> Optional[ProbeTable]
     the table dict-only: a dict matches ``True``/``1.0`` against ``1``, an
     ``int64`` comparison would not.
     """
-    low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-    if not all(_is_int_key(key) and low <= key <= high for key in key_to_bucket):
+    if not all(_is_int_key(key) and _INT64_MIN <= key <= _INT64_MAX for key in key_to_bucket):
         return None
     return ProbeTable.build(
         np.fromiter((int(key) for key in key_to_bucket), np.int64, len(key_to_bucket)),
         np.fromiter(key_to_bucket.values(), np.int64, len(key_to_bucket)),
     )
+
+
+def _element_int64_keys(items: list) -> Optional[np.ndarray]:
+    """The keys of a list of elements as ``int64``, or None.
+
+    None unless every item is an :class:`Element` whose key is a non-bool
+    int in ``int64`` range (the rule :func:`_probe_table_for` stores keys
+    by), so a bool, float or oversized key keeps the dict path.
+    ``_is_int_key`` depends on a key's type alone, so one key of each type
+    decides it.
+    """
+    if not all(issubclass(kind, Element) for kind in set(map(type, items))):
+        return None
+    keys = [item.key for item in items]
+    if not all(map(_is_int_key, {type(key): key for key in keys}.values())):
+        return None
+    if keys and (min(keys) < _INT64_MIN or max(keys) > _INT64_MAX):
+        return None
+    return np.fromiter(keys, np.int64, len(keys))
 
 
 class OptHashScheme:
@@ -127,17 +147,30 @@ class OptHashScheme:
         return bucket
 
     def predict_buckets(self, elements: Sequence[Element]) -> np.ndarray:
-        """Vectorized classifier prediction for many elements (fills the cache)."""
+        """Vectorized classifier prediction for many elements (fills the cache).
+
+        Of several elements with the same key, the last one's prediction is
+        the one cached.
+        """
         if self.classifier is None:
             return np.zeros(len(elements), dtype=int)
         if len(elements) == 0:
             return np.zeros(0, dtype=int)
-        features = np.array([self.featurizer(element) for element in elements], dtype=float)
-        buckets = np.asarray(self.classifier.predict(features), dtype=int)
+        buckets = np.asarray(self.classifier.predict(self._features(elements)), dtype=int)
         self._prediction_cache.update(
             zip([element.key for element in elements], buckets.tolist())
         )
         return buckets
+
+    def _features(self, elements: Sequence[Element]) -> np.ndarray:
+        """The classifier's input matrix, one row per element.
+
+        The default featurizer's rows come straight from the ``features``
+        tuples: the same float64 values without one array per element.
+        """
+        if self.featurizer is default_featurizer:
+            return np.array([element.features for element in elements], dtype=float)
+        return np.array(list(map(self.featurizer, elements)), dtype=float)
 
     def buckets_batch(self, elements: Sequence[Element], kernel=None) -> np.ndarray:
         """Vectorized :meth:`bucket_of` over many elements.
@@ -148,14 +181,22 @@ class OptHashScheme:
         when the featurizer needs nothing beyond the key, e.g. with the
         exact table or a key-based featurizer).
 
-        An integer key array against an integer table takes the array path:
-        one ``opt_table_lookup`` on ``kernel`` (a :mod:`repro.kernels`
-        backend; the ``auto`` one by default), then the classifier or cache
-        for the distinct missed keys only.
+        Integer keys against an integer table take the array path — an
+        integer key array, or a list of elements whose keys are all
+        non-bool ints in ``int64`` range: one ``opt_table_lookup`` on
+        ``kernel`` (a :mod:`repro.kernels` backend; the ``auto`` one by
+        default), then the classifier or cache for the distinct missed keys
+        only.
         """
-        int_keys = int64_keys(elements) if self.probe_table is not None else None
-        if int_keys is not None:
-            return self._int_buckets(int_keys, kernel or get_backend())
+        if self.probe_table is not None:
+            int_keys = int64_keys(elements)
+            if int_keys is not None:
+                return self._int_buckets(int_keys, kernel or get_backend())
+            if not isinstance(elements, np.ndarray):
+                elements = list(elements)
+                int_keys = _element_int64_keys(elements)
+                if int_keys is not None:
+                    return self._int_buckets(int_keys, kernel or get_backend(), elements)
         items = list(elements)
         if items and not isinstance(items[0], Element):
             items = [Element(key=key) for key in items]
@@ -173,7 +214,16 @@ class OptHashScheme:
             count=len(items),
         )
 
-    def _int_buckets(self, keys: np.ndarray, kernel) -> np.ndarray:
+    def _int_buckets(
+        self, keys: np.ndarray, kernel, elements: Optional[list] = None
+    ) -> np.ndarray:
+        """Buckets of ``int64`` keys: probe ``h_S``, then classify the misses.
+
+        Each distinct missed key not yet cached is classified once.  With
+        ``elements`` (aligned with ``keys``) the featurizer sees the key's
+        last element, the one :meth:`predict_buckets` would cache; without
+        them it sees ``Element(key=key)``.
+        """
         buckets = kernel.opt_table_lookup(self.probe_table, keys)
         missed = np.flatnonzero(buckets < 0)
         if missed.size == 0:
@@ -181,16 +231,22 @@ class OptHashScheme:
         if self.classifier is None:
             buckets[missed] = 0
             return buckets
-        distinct, inverse = np.unique(keys[missed], return_inverse=True)
-        distinct_keys = distinct.tolist()
+        missed_keys = keys[missed].tolist()
         cache = self._prediction_cache
-        uncached = [key for key in distinct_keys if key not in cache]
-        if uncached:
-            self.predict_buckets([Element(key=key) for key in uncached])
-        resolved = np.fromiter(
-            (cache[key] for key in distinct_keys), np.int64, len(distinct_keys)
+        # Each distinct uncached key -> the position of its last occurrence.
+        pending = {
+            key: position
+            for key, position in zip(missed_keys, missed.tolist())
+            if key not in cache
+        }
+        if pending:
+            if elements is None:
+                self.predict_buckets([Element(key=key) for key in pending])
+            else:
+                self.predict_buckets([elements[position] for position in pending.values()])
+        buckets[missed] = np.fromiter(
+            map(cache.__getitem__, missed_keys), np.int64, len(missed_keys)
         )
-        buckets[missed] = resolved[inverse.reshape(-1)]
         return buckets
 
     def precompute(self, elements: Sequence[Element]) -> None:

@@ -5,9 +5,11 @@ keys (splitmix64 / FNV fingerprint, then Carter–Wegman multiply-mod-Mersenne-6
 or tabulation lookups), turn the hashes into table positions, and
 gather/scatter counters.  The learned scheme adds a fourth: probing its
 exact key table (:class:`~repro.kernels.probe_table.ProbeTable`, the
-``opt_table_lookup`` / ``opt_table_ingest`` ops).  This package makes *which
-implementation runs those loops* a configuration choice, exactly like
-``storage=`` made "where the counters live" one:
+``opt_table_lookup`` / ``opt_table_ingest`` ops), and a fifth: routing the
+keys it has never seen down its CART classifier (the ``tree_leaves`` op,
+one root-to-leaf walk per row).  This package makes *which implementation
+runs those loops* a configuration choice, exactly like ``storage=`` made
+"where the counters live" one:
 
 * ``numpy`` — the pure-NumPy reference implementation (the code every PR
   since PR 1 shipped, relocated here verbatim).  Always available; the
@@ -17,7 +19,8 @@ implementation runs those loops* a configuration choice, exactly like
   position computation + scatter-add into one pass per batch with no
   intermediate arrays, and releases the GIL while it runs.
 * ``numba`` — the same fused kernels expressed as ``@njit(cache=True)``
-  functions, available when :mod:`numba` is importable.
+  functions, available when :mod:`numba` is importable (``tree_leaves``
+  runs the NumPy descent).
 
 All backends are **bit-identical**: they implement the exact integer
 recurrences of :mod:`repro.sketches.hashing`, so estimates, merges, and
@@ -43,6 +46,7 @@ fallback tests and the no-Numba CI leg use to prove clean degradation.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -88,7 +92,11 @@ def _disabled_names() -> frozenset:
     Reading the environment at resolve time (not import time) lets tests
     and subprocess harnesses flip availability without reloading modules.
     """
-    raw = os.environ.get("REPRO_KERNELS_DISABLE", "")
+    return _parse_disabled(os.environ.get("REPRO_KERNELS_DISABLE", ""))
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_disabled(raw: str) -> frozenset:
     names = {part.strip() for part in raw.split(",") if part.strip()}
     if "all-compiled" in names:
         names |= {"numba", "native"}

@@ -577,3 +577,25 @@ void repro_opt_table_ingest(double *totals, const int64_t *tkeys,
         if (bucket >= 0) totals[bucket] += (double)counts[j];
     }
 }
+
+/* CART descent: each row of the row-major (n, d) float64 X walks from the
+ * root (node 0) to a leaf (feature -1), taking children[2*node + went_left]
+ * with the same `x <= threshold` as the NumPy reference, so NaN goes right.
+ * Returns 0, or 1 (out partly written) when a row reaches a split on a
+ * feature index >= d; the caller then re-runs the reference to raise. */
+int64_t repro_tree_leaves(const int64_t *feature, const double *threshold,
+                          const int64_t *children, const double *X,
+                          int64_t n, int64_t d, int64_t *out) {
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        const double *row = X + i * d;
+        int64_t node = 0;
+        int64_t split;
+        while ((split = feature[node]) >= 0) {
+            if (split >= d) return 1;
+            node = children[2 * node + (row[split] <= threshold[node])];
+        }
+        out[i] = node;
+    }
+    return 0;
+}

@@ -59,7 +59,12 @@ _PROTOTYPES = {
     "repro_opt_table_lookup": [_void_p, _void_p, _i64, _i64, _void_p, _i64, _void_p],
     # totals, table keys, table buckets, capacity, max_probe, keys, counts, n
     "repro_opt_table_ingest": [_void_p] * 3 + [_i64, _i64, _void_p, _void_p, _i64],
+    # feature, threshold, children, X, n, d, out
+    "repro_tree_leaves": [_void_p] * 4 + [_i64, _i64, _void_p],
 }
+
+#: Entry points that return a status instead of void.
+_RESTYPES = {"repro_tree_leaves": _i64}
 
 
 def _cache_dir() -> Path:
@@ -109,7 +114,7 @@ def _load_library() -> ctypes.CDLL:
     for name, argtypes in _PROTOTYPES.items():
         fn = getattr(library, name)
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = _RESTYPES.get(name)
     return library
 
 
@@ -332,3 +337,20 @@ class NativeBackend:
             table.capacity, table.max_probe, _ptr(keys), _ptr(counts64),
             keys.shape[0],
         )
+
+    # ------------------------------------------------------------------
+    # CART descent
+    # ------------------------------------------------------------------
+    def tree_leaves(self, feature, threshold, children, X) -> np.ndarray:
+        feature = np.ascontiguousarray(feature, dtype=np.int64)
+        threshold = np.ascontiguousarray(threshold, dtype=np.float64)
+        children = np.ascontiguousarray(children, dtype=np.int64)
+        rows = np.ascontiguousarray(X, dtype=np.float64)
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        status = self._lib.repro_tree_leaves(
+            _ptr(feature), _ptr(threshold), _ptr(children), _ptr(rows),
+            rows.shape[0], rows.shape[1], _ptr(out),
+        )
+        if status:  # a split on a column X lacks: raise as the reference does
+            return self._fallback.tree_leaves(feature, threshold, children, X)
+        return out

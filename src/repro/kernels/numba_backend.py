@@ -5,7 +5,9 @@ Importable only where :mod:`numba` is installed (the ``[fast]`` extra);
 The kernels mirror ``_native.c`` loop for loop — splitmix64 fingerprinting,
 exact Carter–Wegman multiply-mod-Mersenne-61 (32-bit limb decomposition, no
 128-bit type in nopython mode), tabulation XOR-folds — so they are
-bit-identical to both the C and the NumPy reference backends.
+bit-identical to both the C and the NumPy reference backends.  The one
+exception is ``tree_leaves``: it runs the NumPy reference descent, so this
+backend carries no untimed njit copy of that loop.
 
 Numba typing note: every constant that touches uint64 values is a
 ``np.uint64`` up front.  Mixing uint64 with signed literals promotes to
@@ -500,3 +502,10 @@ class NumbaBackend:
         tkeys, tbuckets, mask, max_probe, ukeys = self._probe_args(table, keys)
         _opt_table_ingest(totals, tkeys, tbuckets, mask, max_probe, ukeys,
                           self._counts64(counts))
+
+    # ------------------------------------------------------------------
+    # CART descent
+    # ------------------------------------------------------------------
+    def tree_leaves(self, feature, threshold, children, X) -> np.ndarray:
+        """The NumPy level-by-level descent; no njit copy of this loop."""
+        return self._fallback.tree_leaves(feature, threshold, children, X)

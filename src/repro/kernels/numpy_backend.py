@@ -24,6 +24,10 @@ batch from ``as_key_batch``):
 * ``opt_table_ingest(totals, table, keys, counts)`` — scatter-add the counts
   of hit keys into the float64 ``totals``, in arrival order; misses are
   ignored.
+* ``tree_leaves(feature, threshold, children, X)`` — the ``int64`` leaf
+  index of every row of ``X`` in a flattened CART tree (``feature`` -1 at
+  leaves, ``children[node, went_left]``), descending with the float64
+  ``X[row, feature] <= threshold`` test, so NaN features go right.
 
 The ``opt_table`` ops take a contiguous ``int64`` key array (the caller
 converts); every other op takes any normalized key batch.
@@ -165,3 +169,19 @@ class NumpyBackend:
         buckets = self.opt_table_lookup(table, keys)
         hit = buckets >= 0
         np.add.at(totals, buckets[hit], counts[hit].astype(np.float64))
+
+    # ------------------------------------------------------------------
+    # CART descent
+    # ------------------------------------------------------------------
+    def tree_leaves(self, feature, threshold, children, X) -> np.ndarray:
+        """Leaf index of every row: all rows descend one level per step."""
+        leaves = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            nodes = leaves[rows]
+            split = feature[nodes]
+            inner = split >= 0
+            rows, nodes, split = rows[inner], nodes[inner], split[inner]
+            went_left = X[rows, split] <= threshold[nodes]
+            leaves[rows] = children[nodes, went_left.view(np.int8)]
+        return leaves

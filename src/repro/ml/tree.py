@@ -8,9 +8,11 @@ by the forest for per-split feature subsampling.
 
 The split search is vectorized per feature: candidate thresholds are the
 midpoints between consecutive sorted values, and class-count prefix sums give
-the impurity of every candidate split in one pass.  Inference is vectorized
-too: ``fit`` flattens the tree into per-node arrays, and ``predict`` /
-``predict_proba`` descend all rows together, one tree level per step.
+the impurity of every candidate split in one pass.  For inference ``fit``
+flattens the tree into per-node arrays, and ``predict`` / ``predict_proba``
+find every row's leaf with the ``tree_leaves`` op of the :mod:`repro.kernels`
+backend (one C loop per row on the native backend, a level-by-level NumPy
+descent on the reference one).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.kernels import get_backend
 from repro.ml.base import Classifier, as_2d_array, check_fitted
 from repro.ml.preprocessing import LabelEncoder
 
@@ -228,10 +231,11 @@ class DecisionTreeClassifier(Classifier):
             for node in nodes
         ]
         feature, threshold, right, left = zip(*rows)
-        self._feature = np.array(feature, dtype=np.intp)
+        # Contiguous int64/float64, the layout tree_leaves takes without a copy.
+        self._feature = np.array(feature, dtype=np.int64)
         self._threshold = np.array(threshold, dtype=np.float64)
         # _children[node, went_left]: one gather picks the next node.
-        self._children = np.array([right, left], dtype=np.intp).T.copy()
+        self._children = np.array([right, left], dtype=np.int64).T.copy()
         self._prediction = np.array([node.prediction for node in nodes], dtype=int)
         counts = np.array([node.class_counts for node in nodes], dtype=np.float64)
         totals = counts.sum(axis=1, keepdims=True)
@@ -253,21 +257,12 @@ class DecisionTreeClassifier(Classifier):
         return node
 
     def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index of every row: all rows descend one level per step.
+        """Leaf index of every row, by the kernel backend's ``tree_leaves``.
 
         The same float64 ``<=`` as :meth:`_leaf_for`, so NaN features go
         right in both.
         """
-        leaves = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            nodes = leaves[rows]
-            feature = self._feature[nodes]
-            inner = feature >= 0
-            rows, nodes, feature = rows[inner], nodes[inner], feature[inner]
-            went_left = X[rows, feature] <= self._threshold[nodes]
-            leaves[rows] = self._children[nodes, went_left.view(np.int8)]
-        return leaves
+        return get_backend().tree_leaves(self._feature, self._threshold, self._children, X)
 
     def predict(self, X) -> np.ndarray:
         check_fitted(self, "_root")

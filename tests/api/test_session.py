@@ -145,10 +145,30 @@ class TestSnapshotRestore:
         prefix = generator.generate_prefix(200)
         session = api.open(
             OptHashSpec(num_buckets=4, solver="bcd", classifier=None, seed=0),
-            prefix=prefix,
+            options=repro.Options(prefix=prefix),
         )
         with pytest.raises(SerializationError):
             session.snapshot()
+
+    def test_legacy_keywords_still_work_with_a_deprecation_warning(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        prefix = SyntheticGenerator(
+            SyntheticConfig(num_groups=3, fraction_seen=0.5, seed=0)
+        ).generate_prefix(200)
+        spec = OptHashSpec(num_buckets=4, solver="bcd", classifier=None, seed=0)
+        with pytest.warns(DeprecationWarning, match=r"repro.open\(prefix=\.\.\.\)"):
+            legacy = api.open(spec, prefix=prefix)
+        current = api.open(spec, options=repro.Options(prefix=prefix))
+        assert legacy.estimator.scheme.hash_codes() == current.estimator.scheme.hash_codes()
+
+        path = str(tmp_path / "s.snap")
+        api.open(CMS_SPEC).save(path)
+        registry = MetricsRegistry()
+        with pytest.warns(DeprecationWarning, match=r"repro.load\(metrics=\.\.\.\)"):
+            restored = api.load(path, metrics=registry)
+        restored.ingest(np.arange(10, dtype=np.int64))
+        assert registry.get("repro_session_stage_seconds").labels(stage="ingest").count == 1
 
 
 class TestShardedSessions:

@@ -263,3 +263,200 @@ class TestOptHashProbeTablePath:
             assert got.dtype == np.int64
             assert got.tolist() == expected
         assert batched.buckets_batch(keys[:0]).shape == (0,)
+
+
+class TestElementIntKeyPath:
+    """A list of elements whose keys are all non-bool ``int64``-range ints
+    resolves through ``opt_table_lookup`` like an int array; any other list
+    keeps the dict path.  Both must equal per-key ``bucket_of``/``estimate``
+    bit for bit, with the featurizer run once per distinct unseen key."""
+
+    STORED = {key: key % 4 for key in range(0, 300, 5)}
+
+    @staticmethod
+    def features_of(key):
+        return (np.log1p(abs(float(key))), float(key) % 3.0)
+
+    @classmethod
+    def element(cls, key):
+        return Element.with_features(key, cls.features_of(key))
+
+    @classmethod
+    def classifier(cls):
+        from repro.ml.tree import DecisionTreeClassifier
+
+        X = np.array([cls.features_of(key) for key in cls.STORED])
+        return DecisionTreeClassifier(max_depth=4).fit(X, list(cls.STORED.values()))
+
+    @classmethod
+    def scheme(cls, featurizer=None, classifier="fit"):
+        from repro.core.scheme import OptHashScheme
+
+        model = cls.classifier() if classifier == "fit" else classifier
+        return OptHashScheme(4, cls.STORED, model, featurizer)
+
+    @staticmethod
+    def counting(featurizer):
+        calls = []
+
+        def counted(element):
+            calls.append(element.key)
+            return featurizer(element)
+
+        return counted, calls
+
+    @staticmethod
+    def spy_kernel(kernel):
+        """The kernel, recording whether ``opt_table_lookup`` ran."""
+        probes = []
+
+        class Spy:
+            def opt_table_lookup(self, table, keys):
+                probes.append(len(keys))
+                return kernel.opt_table_lookup(table, keys)
+
+        return Spy(), probes
+
+    @classmethod
+    def mixed_elements(cls, seed=4, num=600):
+        keys = np.random.default_rng(seed).integers(-40, 400, size=num)
+        return [cls.element(int(key)) for key in keys]
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_int_elements_take_the_probe_and_match_bucket_of(self, backend):
+        from repro.core.scheme import default_featurizer
+
+        elements = self.mixed_elements()
+        featurizer, calls = self.counting(default_featurizer)
+        batched = self.scheme(featurizer)
+        expected = [self.scheme().bucket_of(element) for element in elements]
+        kernel, probes = self.spy_kernel(kernels.get_backend(backend))
+        got = batched.buckets_batch(elements, kernel=kernel)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert probes == [len(elements)]
+        unseen = {e.key for e in elements if e.key not in self.STORED}
+        assert sorted(calls) == sorted(unseen)
+        # Every unseen key is cached now: a second pass featurizes nothing.
+        assert batched.buckets_batch(elements, kernel=kernel).tolist() == expected
+        assert len(calls) == len(unseen)
+
+    def test_default_featurizer_rows_match_the_generic_build(self):
+        from repro.core.scheme import default_featurizer
+
+        elements = self.mixed_elements(seed=9)
+        default = self.scheme()
+        generic = self.scheme(lambda element: default_featurizer(element))
+        assert default.buckets_batch(elements).tolist() == generic.buckets_batch(elements).tolist()
+        assert default._features(elements).tobytes() == np.array(
+            [default_featurizer(element) for element in elements], dtype=float
+        ).tobytes()
+
+    def test_elements_match_the_int_array_path(self):
+        def key_feature(element):
+            return np.array(self.features_of(element.key))
+
+        keys = np.random.default_rng(6).integers(-40, 400, size=800)
+        from_elements = self.scheme(key_feature).buckets_batch(
+            [Element(key=int(key)) for key in keys]
+        )
+        from_array = self.scheme(key_feature).buckets_batch(keys)
+        assert from_elements.tolist() == from_array.tolist()
+
+    @pytest.mark.parametrize(
+        "keys, probed",
+        [
+            ([np.int64(5), np.int64(7), 5, np.int32(-3), np.uint64(10)], True),
+            ([True, 1, 5, False, 7], False),
+            ([2**63, 5, 7, -(2**63) - 1], False),
+            ([np.uint64(2**64 - 1), 5], False),
+            ([2**63 - 1, -(2**63), 5], True),
+            (["x", 5, "y", 7], False),
+            ([1.0, 5, 7], False),
+        ],
+        ids=["np-ints", "bool", "beyond-int64", "big-uint64", "int64-bounds", "mixed-str", "float"],
+    )
+    def test_key_types(self, keys, probed):
+        from repro.core.scheme import default_featurizer
+
+        elements = [
+            Element.with_features(key, self.features_of(0 if isinstance(key, str) else key))
+            for key in keys
+        ]
+        featurizer, calls = self.counting(default_featurizer)
+        batched = self.scheme(featurizer)
+        expected = [self.scheme().bucket_of(element) for element in elements]
+        kernel, probes = self.spy_kernel(kernels.get_backend())
+        assert batched.buckets_batch(elements, kernel=kernel).tolist() == expected
+        assert bool(probes) is probed
+        if probed:
+            assert len(calls) == len({e.key for e in elements if e.key not in self.STORED})
+
+    def test_bool_key_keeps_dict_equality(self):
+        """``True`` never enters the int64 probe; in the dict path it equals
+        a stored ``1`` exactly as ``bucket_of`` does."""
+        from repro.core.scheme import OptHashScheme
+
+        scheme = OptHashScheme(4, {1: 3, 2: 1}, self.classifier())
+        kernel, probes = self.spy_kernel(kernels.get_backend())
+        elements = [self.element(True), self.element(2)]
+        got = scheme.buckets_batch(elements, kernel=kernel)
+        assert probes == []
+        assert got.tolist() == [scheme.bucket_of(e) for e in elements] == [3, 1]
+
+    def test_repeated_key_takes_the_last_elements_prediction(self):
+        """Two elements with one unseen key but different features: both
+        rows get the last one's prediction, as ``predict_buckets`` caches."""
+        classifier = self.classifier()
+        candidates = [self.features_of(key) for key in range(1, 300, 5)]
+        predictions = classifier.predict(np.array(candidates))
+        first = candidates[0]
+        last = candidates[int(np.flatnonzero(predictions != predictions[0])[0])]
+        elements = [
+            Element.with_features(1, first),
+            Element.with_features(5, self.features_of(5)),
+            Element.with_features(1, last),
+            Element.with_features(6, first),
+        ]
+        expected_last = int(classifier.predict(np.array([last]))[0])
+        assert expected_last != int(classifier.predict(np.array([first]))[0])
+        int_path = self.scheme(classifier=classifier)
+        dict_path = self.scheme(classifier=classifier)
+        dict_path.probe_table = None
+        got = int_path.buckets_batch(elements)
+        assert got.tolist() == dict_path.buckets_batch(elements).tolist()
+        assert got[0] == got[2] == expected_last
+        assert int_path._prediction_cache[1] == expected_last
+
+    def test_no_classifier_routes_misses_to_bucket_zero(self):
+        elements = self.mixed_elements(seed=2, num=50)
+        scheme = self.scheme(classifier=None)
+        expected = [scheme.bucket_of(element) for element in elements]
+        assert scheme.buckets_batch(elements).tolist() == expected
+        assert scheme.buckets_batch([]).shape == (0,)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
+    def test_estimate_batch_matches_scalar_estimate(self, adaptive):
+        from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
+
+        elements = self.mixed_elements(seed=8, num=500)
+
+        def build(probe=True):
+            scheme = self.scheme()
+            if not probe:
+                scheme.probe_table = None
+            initial = {key: float(key % 7 + 1) for key in self.STORED}
+            if adaptive:
+                estimator = AdaptiveOptHashEstimator(
+                    scheme, initial_frequencies=initial, expected_distinct=2000, seed=1
+                )
+            else:
+                estimator = OptHashEstimator(scheme, initial_frequencies=initial)
+            estimator.update_batch(elements[:300])
+            return estimator
+
+        batched, scalar = build(), build()
+        expected = [scalar.estimate(element) for element in elements]
+        got = batched.estimate_batch(elements)
+        assert got.tolist() == expected
+        assert got.tobytes() == build(probe=False).estimate_batch(elements).tobytes()

@@ -371,6 +371,130 @@ class TestProbeTableIdentity:
 
 
 # ----------------------------------------------------------------------
+# CART descent: every backend against the NumPy op and ``_leaf_for``
+# ----------------------------------------------------------------------
+def fit_tree(num_samples=120, num_features=3, max_depth=None, seed=0):
+    from repro.ml.tree import DecisionTreeClassifier
+
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(num_samples, num_features)).round(1)
+    y = rng.integers(0, 5, size=num_samples)
+    return DecisionTreeClassifier(max_depth=max_depth, random_state=seed).fit(X, y)
+
+
+def preorder(node):
+    """The tree's nodes in the order ``_flatten`` numbers them."""
+    if node.is_leaf:
+        return [node]
+    return [node] + preorder(node.left) + preorder(node.right)
+
+
+def assert_leaves_match(tree, X):
+    """Every backend's ``tree_leaves`` equals the NumPy op and ``_leaf_for``
+    (which walks float64 rows, the op's comparison precision)."""
+    index = {id(node): position for position, node in enumerate(preorder(tree._root))}
+    rows = np.asarray(X, dtype=np.float64)
+    expected = np.array([index[id(tree._leaf_for(row))] for row in rows], dtype=np.int64)
+    arrays = (tree._feature, tree._threshold, tree._children)
+    reference = kernels.get_backend("numpy").tree_leaves(*arrays, X)
+    assert reference.dtype == np.int64
+    np.testing.assert_array_equal(reference, expected)
+    for name in kernels.available_backends():
+        got = kernels.get_backend(name).tree_leaves(*arrays, X)
+        assert got.dtype == np.int64 and got.shape == (rows.shape[0],)
+        np.testing.assert_array_equal(got, reference)
+
+
+def on_threshold_rows(tree, dtype=np.float64):
+    """One row per split holding that split's threshold, zeros elsewhere."""
+    splits = np.flatnonzero(tree._feature >= 0)
+    rows = np.zeros((len(splits), tree._num_features), dtype=dtype)
+    rows[np.arange(len(splits)), tree._feature[splits]] = tree._threshold[splits]
+    return rows
+
+
+class TestTreeLeavesIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_samples=st.integers(min_value=2, max_value=150),
+        num_features=st.integers(min_value=1, max_value=4),
+        max_depth=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_trees(self, num_samples, num_features, max_depth, seed):
+        tree = fit_tree(num_samples, num_features, max_depth, seed)
+        queries = np.random.default_rng(seed + 1).normal(size=(200, num_features))
+        assert_leaves_match(tree, queries.round(1))
+        assert_leaves_match(tree, queries)
+
+    def test_rows_exactly_at_thresholds(self):
+        tree = fit_tree(seed=3)
+        rows = on_threshold_rows(tree)
+        assert len(rows) > 5
+        assert_leaves_match(tree, rows)
+        # Nudged one ulp either side of each threshold.
+        assert_leaves_match(tree, np.nextafter(rows, np.inf))
+        assert_leaves_match(tree, np.nextafter(rows, -np.inf))
+
+    def test_nan_and_infinite_features(self):
+        tree = fit_tree(seed=5)
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(300, 3))
+        specials = np.array([np.nan, np.inf, -np.inf])
+        mask = rng.random(rows.shape) < 0.3
+        rows[mask] = rng.choice(specials, size=int(mask.sum()))
+        assert_leaves_match(tree, rows)
+        nan_leaves = kernels.get_backend().tree_leaves(
+            tree._feature, tree._threshold, tree._children, np.full((1, 3), np.nan)
+        )
+        # NaN never satisfies <=, so an all-NaN row takes every right child.
+        node = 0
+        while tree._feature[node] >= 0:
+            node = tree._children[node, 0]
+        assert nan_leaves.tolist() == [node]
+
+    def test_single_leaf_tree_and_zero_rows(self):
+        from repro.ml.tree import DecisionTreeClassifier
+
+        leaf = DecisionTreeClassifier().fit(np.array([[1.0], [2.0]]), np.array([4, 4]))
+        assert leaf._feature.tolist() == [-1]
+        assert_leaves_match(leaf, np.array([[0.0], [np.nan], [9.0]]))
+        assert_leaves_match(leaf, np.zeros((0, 1)))
+        assert_leaves_match(fit_tree(seed=1), np.zeros((0, 3)))
+
+    def test_float32_fortran_and_strided_inputs(self):
+        tree = fit_tree(seed=7)
+        rows = np.random.default_rng(7).normal(size=(200, 3))
+        # float32 values near the thresholds compare differently in float32
+        # and float64; the op compares in float64.
+        near = on_threshold_rows(tree, dtype=np.float32)
+        assert_leaves_match(tree, near)
+        assert_leaves_match(tree, rows.astype(np.float32))
+        assert_leaves_match(tree, np.asfortranarray(rows))
+        wide = np.random.default_rng(8).normal(size=(400, 7))
+        assert_leaves_match(tree, wide[::2, 1::2])
+        assert not wide[::2, 1::2].flags["C_CONTIGUOUS"]
+
+    def test_forest_predict_proba_is_backend_independent(self, monkeypatch):
+        from repro.ml.forest import RandomForestClassifier
+
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 4))
+        y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int) + (X[:, 2] > 1)
+        forest = RandomForestClassifier(n_estimators=7, random_state=3).fit(X, y)
+        queries = np.vstack([rng.normal(size=(500, 4)), np.full((2, 4), np.nan)])
+        names = kernels.available_backends()
+        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all-compiled")
+        reference = forest.predict_proba(queries)
+        assert kernels.default_backend() == "numpy"
+        for name in names:
+            others = [other for other in kernels.BACKEND_NAMES if other not in (name, "numpy")]
+            monkeypatch.setenv("REPRO_KERNELS_DISABLE", ",".join(others))
+            assert kernels.default_backend() == name
+            assert forest.predict_proba(queries).tobytes() == reference.tobytes()
+
+
+# ----------------------------------------------------------------------
 # merge / serialization / storage / sharding
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", compiled_params())

@@ -274,11 +274,14 @@ def test_sigterm_during_active_ingest_leaves_restorable_snapshot(
         except (ServiceError, OSError):
             pass
         client.close()
-        assert daemon.wait(timeout=120) == 0
+        # communicate() drains the log pipe and closes it.
+        daemon.communicate(timeout=120)
+        assert daemon.returncode == 0
     finally:
         if daemon.poll() is None:
             daemon.kill()
             daemon.wait()
+        daemon.stdout.close()
 
     assert os.path.exists(snap)
     with repro.load(snap) as restored:

@@ -104,7 +104,8 @@ class TestReOptimizer:
 
     def test_reoptimize_swaps_a_session(self):
         counts, features = element_counts(seed=1)
-        with repro.open(SPEC, prefix=_as_prefix(counts, features)) as session:
+        options = repro.Options(prefix=_as_prefix(counts, features))
+        with repro.open(SPEC, options=options) as session:
             before = session.estimator
             fresh_counts, fresh_features = element_counts(seed=2)
             result = ReOptimizer(SPEC).reoptimize(
@@ -121,7 +122,8 @@ class TestReOptimizer:
 
     def test_background_cycle_joins_with_result(self):
         counts, features = element_counts(seed=3)
-        with repro.open(SPEC, prefix=_as_prefix(counts, features)) as session:
+        options = repro.Options(prefix=_as_prefix(counts, features))
+        with repro.open(SPEC, options=options) as session:
             background = BackgroundReOptimizer(
                 ReOptimizer(SPEC), session, close_old=False
             )
