@@ -3,9 +3,9 @@
 Measures CMS / CountSketch batch ingest (the service hot path) and the
 query paths on every available compiled backend against the NumPy
 reference, asserts the ingest gate, and records the per-kernel trajectory
-in ``benchmarks/results/BENCH_kernels.json``.  Where no compiler / Numba
-is available the gate *skips* (recording why) — it never fails for a
-missing toolchain, matching the no-compiled CI leg.
+in ``benchmarks/results/BENCH_kernels.json``.  Where no C compiler is
+available the gate *skips* (recording why) — it never fails for a missing
+toolchain, matching the no-compiled CI leg.
 """
 
 from __future__ import annotations

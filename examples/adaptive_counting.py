@@ -36,12 +36,13 @@ def main() -> None:
     )
 
     base = dict(num_buckets=12, lam=0.5, solver="bcd", classifier="cart", seed=4)
-    static = repro.open(repro.OptHashSpec(**base), prefix=prefix)
+    options = repro.Options(prefix=prefix)
+    static = repro.open(repro.OptHashSpec(**base), options=options)
     adaptive = repro.open(
         repro.OptHashSpec(
             adaptive=True, expected_distinct=10_000, bloom_bits=40_000, **base
         ),
-        prefix=prefix,
+        options=options,
     )
 
     static.ingest(stream)

@@ -44,7 +44,7 @@ def main() -> None:
     opt_spec = repro.OptHashSpec(
         num_buckets=16, lam=0.5, solver="bcd", classifier="cart", seed=0
     )
-    session = repro.open(opt_spec, prefix=prefix)
+    session = repro.open(opt_spec, options=repro.Options(prefix=prefix))
     estimator = session.estimator
     print(
         "learned scheme:   "

@@ -81,8 +81,9 @@ def main() -> None:
         num_buckets=10, lam=0.5, solver="bcd", classifier="cart", seed=13
     )
     training = repro.api.train(spec, prefix)
-    session = repro.open(spec, prefix=prefix)
-    stale = repro.open(spec, prefix=prefix)  # control: never re-optimized
+    options = repro.Options(prefix=prefix)
+    session = repro.open(spec, options=options)
+    stale = repro.open(spec, options=options)  # control: never re-optimized
     detector = DriftDetector(training.scheme, training, threshold=0.25)
     reoptimizer = ReOptimizer(spec)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import builtins
 import contextlib
 import os
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -397,9 +397,6 @@ def open(
     spec,
     *,
     options: Optional[Options] = None,
-    prefix=None,
-    featurizer: Optional[Callable] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Session:
     """Build the estimator ``spec`` describes and wrap it in a Session.
 
@@ -408,12 +405,9 @@ def open(
     (a :class:`~repro.api.options.Options`): the observed ``prefix`` (and
     optional ``featurizer``) for training kinds, ``metrics`` to instrument
     the session (see :meth:`Session.instrument`), and ``backend`` to
-    override the spec's kernel backend.  The bare ``prefix=`` /
-    ``featurizer=`` / ``metrics=`` keywords are deprecated aliases.
+    override the spec's kernel backend.
     """
-    opts = resolve_options(
-        "open", options, prefix=prefix, featurizer=featurizer, metrics=metrics
-    )
+    opts = resolve_options("open", options)
     spec = spec_from_dict(spec)
     if opts.backend is not None:
         from repro.api.registry import spec_with_backend
@@ -430,15 +424,13 @@ def restore(
     data: bytes,
     *,
     options: Optional[Options] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Session:
     """Rebuild a session from a :meth:`Session.snapshot` buffer.
 
     Only ``Options.metrics`` applies here — the snapshot records its own
-    spec (including any pinned kernel backend).  ``metrics=`` is the
-    deprecated alias.
+    spec (including any pinned kernel backend).
     """
-    opts = resolve_options("restore", options, metrics=metrics)
+    opts = resolve_options("restore", options)
     session = Session.from_bytes(data)
     if opts.metrics is not None:
         session.instrument(opts.metrics)
@@ -449,12 +441,11 @@ def load(
     path,
     *,
     options: Optional[Options] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Session:
     """Rebuild a session from a :meth:`Session.save` file.
 
     Accepts the same options as :func:`restore`.
     """
-    opts = resolve_options("load", options, metrics=metrics)
+    opts = resolve_options("load", options)
     with builtins.open(os.fspath(path), "rb") as handle:
         return restore(handle.read(), options=opts)

@@ -82,9 +82,9 @@ class StorageError(ReproError, ValueError):
 class KernelError(ReproError, RuntimeError):
     """A compute-kernel backend is unknown, unavailable, or failed to load.
 
-    Raised when an explicitly requested backend (``backend="numba"`` on a
-    machine without Numba, ``backend="native"`` without a C compiler)
-    cannot be provided.  ``backend="auto"`` never raises — it falls back
+    Raised when an explicitly requested backend cannot be provided
+    (``backend="native"`` without a C compiler, or the removed
+    ``backend="numba"``).  ``backend="auto"`` never raises — it falls back
     to the pure-NumPy reference implementation.  Home:
     :mod:`repro.kernels`.
     """

@@ -18,9 +18,6 @@ runs those loops* a configuration choice, exactly like ``storage=`` made
   system C compiler and driven through :mod:`ctypes`.  Fuses fingerprint +
   position computation + scatter-add into one pass per batch with no
   intermediate arrays, and releases the GIL while it runs.
-* ``numba`` — the same fused kernels expressed as ``@njit(cache=True)``
-  functions, available when :mod:`numba` is importable (``tree_leaves``
-  runs the NumPy descent).
 
 All backends are **bit-identical**: they implement the exact integer
 recurrences of :mod:`repro.sketches.hashing`, so estimates, merges, and
@@ -31,17 +28,19 @@ enforced by ``tests/kernels/test_backend_equivalence.py`` across every
 Selection
 ---------
 ``backend="auto"`` (the default everywhere) picks the fastest available
-backend (numba → native → numpy) and silently falls back to NumPy when no
-compiler/Numba exists — it never raises.  Naming a backend explicitly
+backend (native → numpy) and silently falls back to NumPy when no C
+compiler exists — it never raises.  Naming a backend explicitly
 (``backend="native"``) raises :class:`~repro.errors.KernelError` when that
 backend cannot be provided, **except** when rehydrating serialized state,
-where the restore path falls back to NumPy with a ``RuntimeWarning`` so a
+where the restore path resolves ``auto`` with a ``RuntimeWarning`` so a
 snapshot taken on a machine with the compiled path restores (bit-identically)
-on one without it.
+on one without it.  A retired name (:data:`RETIRED_BACKENDS`, the removed
+Numba backend's ``"numba"``) is never available: construction raises,
+restore warns and resolves ``auto``.
 
 The environment variable ``REPRO_KERNELS_DISABLE`` (comma-separated backend
 names, or ``all-compiled``) masks backends at resolve time — the hook the
-fallback tests and the no-Numba CI leg use to prove clean degradation.
+fallback tests and the no-compiled CI leg use to prove clean degradation.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ __all__ = [
     "KernelPlan",
     "KernelDispatch",
     "BACKEND_NAMES",
+    "RETIRED_BACKENDS",
     "BACKEND_SCHEMA",
     "available_backends",
     "backend_available",
@@ -71,14 +71,22 @@ __all__ = [
 
 #: Every selectable backend name, in ``auto`` preference order (compiled
 #: paths first).  ``auto`` itself is a selection rule, not a backend.
-BACKEND_NAMES = ("numba", "native", "numpy")
+BACKEND_NAMES = ("native", "numpy")
+
+#: Names of removed backends.  Specs still accept them so a snapshot that
+#: recorded one restores (with a warning, on ``auto``); constructing a
+#: sketch with one raises :class:`KernelError`.
+RETIRED_BACKENDS = ("numba",)
 
 #: Schema fragment the kernel-capable sketches merge into their spec
 #: schemas, mirroring ``repro.core.storage.STORAGE_SCHEMA``.  The registry
 #: treats the presence of the ``backend`` field as the signal that a kind
 #: supports kernel dispatch (``kind_supports_backend``).
 BACKEND_SCHEMA = {
-    "backend": {"type": "str", "choices": ("auto",) + BACKEND_NAMES},
+    "backend": {
+        "type": "str",
+        "choices": ("auto",) + BACKEND_NAMES + RETIRED_BACKENDS,
+    },
 }
 
 _lock = threading.Lock()
@@ -99,7 +107,7 @@ def _disabled_names() -> frozenset:
 def _parse_disabled(raw: str) -> frozenset:
     names = {part.strip() for part in raw.split(",") if part.strip()}
     if "all-compiled" in names:
-        names |= {"numba", "native"}
+        names |= set(BACKEND_NAMES) - {"numpy"}
     return frozenset(names)
 
 
@@ -107,7 +115,7 @@ def _load(name: str) -> Optional[object]:
     """Load (and cache) the backend singleton for ``name``; None if broken.
 
     A failed load is cached as unavailable with its reason — compiling the
-    native library or importing Numba is attempted at most once per process.
+    native library is attempted at most once per process.
     """
     if name in _instances:
         return _instances[name]
@@ -127,10 +135,6 @@ def _load(name: str) -> Optional[object]:
                 from repro.kernels.native_backend import NativeBackend
 
                 instance = NativeBackend()
-            elif name == "numba":
-                from repro.kernels.numba_backend import NumbaBackend
-
-                instance = NumbaBackend()
             else:  # pragma: no cover - callers validate names first
                 raise KernelError(f"unknown kernel backend {name!r}")
         except KernelError:
@@ -158,6 +162,8 @@ def available_backends() -> Tuple[str, ...]:
 
 def unavailable_reason(name: str) -> Optional[str]:
     """Why ``name`` is unavailable (None when it is available)."""
+    if name in RETIRED_BACKENDS:
+        return "this backend was removed from repro"
     if name not in BACKEND_NAMES:
         return f"unknown backend {name!r}"
     if name in _disabled_names():
@@ -175,14 +181,15 @@ def resolve_backend(requested: str = "auto", *, on_unavailable: str = "raise") -
     resolves to itself when available; otherwise ``on_unavailable``
     decides: ``"raise"`` (default) raises :class:`KernelError`,
     ``"fallback"`` re-resolves as ``auto`` after emitting a
-    ``RuntimeWarning`` — the restore-path behavior.
+    ``RuntimeWarning`` — the restore-path behavior.  A name in
+    :data:`RETIRED_BACKENDS` is treated as permanently unavailable.
     """
     if requested == "auto":
         for name in BACKEND_NAMES:
             if backend_available(name):
                 return name
         return "numpy"  # pragma: no cover - numpy import cannot fail here
-    if requested not in BACKEND_NAMES:
+    if requested not in BACKEND_NAMES + RETIRED_BACKENDS:
         raise KernelError(
             f"unknown kernel backend {requested!r}; expected one of "
             f"{('auto',) + BACKEND_NAMES}"
@@ -193,8 +200,8 @@ def resolve_backend(requested: str = "auto", *, on_unavailable: str = "raise") -
     if on_unavailable == "fallback":
         fallback = resolve_backend("auto")
         warnings.warn(
-            f"kernel backend {requested!r} is unavailable on this machine "
-            f"({reason}); falling back to {fallback!r} (bit-identical)",
+            f"kernel backend {requested!r} is unavailable ({reason}); "
+            f"falling back to {fallback!r} (bit-identical)",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -8,7 +8,7 @@ a compiled kernel consumes:
 * the NumPy reference backend uses :attr:`KernelPlan.hashes` directly — its
   code is the pre-kernels sketch code, moved, so bit-identity with history
   is by construction;
-* the native/Numba backends use :meth:`KernelPlan.packed` — per-level
+* the native backend uses :meth:`KernelPlan.packed` — per-level
   Carter–Wegman coefficients (``a``, ``b``, ``seeds``) or stacked
   tabulation tables — plus a :class:`PreparedKeys` view of the key batch.
 

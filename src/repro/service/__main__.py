@@ -18,6 +18,7 @@ import asyncio
 import json
 import sys
 
+from repro.kernels import BACKEND_NAMES
 from repro.obs import StructuredLogger
 from repro.service.server import (
     DEFAULT_FLUSH_INTERVAL,
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "numba", "native", "numpy"),
+        choices=("auto",) + BACKEND_NAMES,
         help="kernel backend for the sketch hot paths; overrides the spec's "
         "own 'backend' field (drilling through sharded/windowed wrappers)",
     )

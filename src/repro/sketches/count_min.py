@@ -110,8 +110,8 @@ class CountMinSketch(KernelDispatch, StorageBacked, FrequencyEstimator):
         Backing file for ``storage="mmap"`` (a temp file when omitted).
     backend:
         Kernel backend executing the hot paths: ``"auto"`` (default; fastest
-        available), ``"numpy"``, ``"native"``, or ``"numba"``.  All backends
-        are bit-identical; see :mod:`repro.kernels`.
+        available), ``"numpy"``, or ``"native"``.  All backends are
+        bit-identical; see :mod:`repro.kernels`.
     """
 
     _STORAGE_FIELD = "_table"

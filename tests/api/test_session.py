@@ -150,25 +150,28 @@ class TestSnapshotRestore:
         with pytest.raises(SerializationError):
             session.snapshot()
 
-    def test_legacy_keywords_still_work_with_a_deprecation_warning(self, tmp_path):
-        from repro.obs import MetricsRegistry
-
-        prefix = SyntheticGenerator(
-            SyntheticConfig(num_groups=3, fraction_seen=0.5, seed=0)
-        ).generate_prefix(200)
-        spec = OptHashSpec(num_buckets=4, solver="bcd", classifier=None, seed=0)
-        with pytest.warns(DeprecationWarning, match=r"repro.open\(prefix=\.\.\.\)"):
-            legacy = api.open(spec, prefix=prefix)
-        current = api.open(spec, options=repro.Options(prefix=prefix))
-        assert legacy.estimator.scheme.hash_codes() == current.estimator.scheme.hash_codes()
-
-        path = str(tmp_path / "s.snap")
-        api.open(CMS_SPEC).save(path)
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning, match=r"repro.load\(metrics=\.\.\.\)"):
-            restored = api.load(path, metrics=registry)
-        restored.ingest(np.arange(10, dtype=np.int64))
-        assert registry.get("repro_session_stage_seconds").labels(stage="ingest").count == 1
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: api.open(CMS_SPEC, prefix=[1, 2]),
+            lambda: api.open(CMS_SPEC, featurizer=str),
+            lambda: api.open(CMS_SPEC, metrics=object()),
+            lambda: api.restore(b"", metrics=object()),
+            lambda: api.load("unused.snap", metrics=object()),
+            lambda: api.train(OptHashSpec(num_buckets=4), [1], featurizer=str),
+        ],
+        ids=[
+            "open-prefix",
+            "open-featurizer",
+            "open-metrics",
+            "restore-metrics",
+            "load-metrics",
+            "train-featurizer",
+        ],
+    )
+    def test_bare_option_keywords_raise_type_error(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
 
 
 class TestShardedSessions:

@@ -1,13 +1,15 @@
 """Bit-identity of the kernel backends.
 
-Every compute backend (NumPy reference, ctypes-driven C, Numba) implements
+Every compute backend (NumPy reference, ctypes-driven C) implements
 the exact integer recurrences of :mod:`repro.sketches.hashing`, so two
 sketches that differ only in ``backend=`` must hold byte-identical state and
 return byte-identical answers — across sketch kinds, hash schemes, key
 types, weighted batches, merges, serialization, storage backends, and
 sharded layouts.  These tests run against every backend available on the
-machine (the NumPy baseline always is; the compiled ones are skipped where
-no compiler/Numba exists, and CI runs dedicated legs with and without them).
+machine (the NumPy baseline always is; the compiled one is skipped where
+no C compiler exists, and CI runs dedicated legs with and without it).  The
+retired ``numba`` name is checked too: buffers that recorded it restore on
+``auto`` with a warning, and new sketches cannot ask for it.
 """
 
 import warnings
@@ -27,7 +29,7 @@ SCHEMES = ("universal", "tabulation")
 COMPILED = [name for name in kernels.available_backends() if name != "numpy"]
 
 requires_compiled = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel backend available (no cc/numba)"
+    not COMPILED, reason="no compiled kernel backend available (no cc)"
 )
 
 
@@ -639,6 +641,76 @@ class TestRestoreFallback:
             warnings.simplefilter("error")
             sketch = CountMinSketch(width=8, depth=2, seed=1, backend="auto")
         assert sketch.kernel_backend == "numpy"
+
+
+# ----------------------------------------------------------------------
+# retired backend names: restore on auto, refuse construction
+# ----------------------------------------------------------------------
+def as_retired(blob):
+    """A ``backend="numpy"`` buffer rewritten to record ``"numba"``."""
+    assert blob.count(b'"numpy"') >= 1
+    return blob.replace(b'"numpy"', b'"numba"')
+
+
+def restore_warning_once(restore, blob):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        restored = restore(blob)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "removed" in str(caught[0].message)
+    return restored
+
+
+class TestRetiredBackend:
+    def test_retired_names_are_not_backends(self):
+        assert kernels.RETIRED_BACKENDS == ("numba",)
+        assert "numba" not in kernels.BACKEND_NAMES
+        assert not kernels.backend_available("numba")
+        assert "numba" not in kernels.available_backends()
+
+    def test_sketch_buffer_restores_on_auto(self):
+        sketch = CountMinSketch(width=64, depth=3, seed=12, backend="numpy")
+        sketch.update_batch(int_keys(1200))
+        reference = sketch.estimate_batch(probe(int_keys(1200)))
+        twin = restore_warning_once(
+            CountMinSketch.from_bytes, as_retired(sketch.to_bytes())
+        )
+        assert twin.backend == "numba"  # the pin survives for re-serialization
+        assert twin.kernel_backend == kernels.default_backend()
+        np.testing.assert_array_equal(sketch._table, twin._table)
+        np.testing.assert_array_equal(
+            reference, twin.estimate_batch(probe(int_keys(1200)))
+        )
+
+    def test_session_snapshot_restores_on_auto(self):
+        spec = {"kind": "count_min", "width": 64, "depth": 3, "seed": 4}
+        with repro.open(spec, options=repro.Options(backend="numpy")) as session:
+            session.ingest(int_keys(1500))
+            blob = session.snapshot()
+            table = session.estimator._table.copy()
+            reference = session.estimate(probe(int_keys(1500)))
+        twin = restore_warning_once(repro.restore, as_retired(blob))
+        assert twin.describe()["spec"]["backend"] == "numba"
+        assert twin.describe()["kernel_backend"] == kernels.default_backend()
+        np.testing.assert_array_equal(table, twin.estimator._table)
+        np.testing.assert_array_equal(
+            reference, twin.estimate(probe(int_keys(1500)))
+        )
+
+    def test_construction_raises(self):
+        with pytest.raises(KernelError, match="removed"):
+            CountMinSketch(width=8, depth=2, seed=1, backend="numba")
+        with pytest.raises(KernelError, match="removed"):
+            repro.open({"kind": "count_min", "width": 8, "backend": "numba"})
+
+    def test_service_cli_rejects_retired_name(self, capsys):
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--backend", "numba"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "numba" in err
 
 
 # ----------------------------------------------------------------------
