@@ -179,8 +179,9 @@ class SketchSpec(EstimatorSpec):
         return cls(kind, **data)
 
 
-# Fields of :class:`OptHashSpec`, mirroring ``repro.core.pipeline.OptHashConfig``
-# one-to-one: (name, default).  ``adaptive`` is implied by the kind name.
+# Fields of :class:`OptHashSpec`, read directly by the learning phase
+# (``repro.core.pipeline.train_opt_hash``): (name, default).  ``adaptive`` is
+# implied by the kind name.
 _OPT_HASH_FIELDS: Tuple[Tuple[str, Any], ...] = (
     ("num_buckets", 10),
     ("lam", 1.0),

@@ -48,13 +48,11 @@ def _build_opt_hash(cls, spec, context):
     classifier features.  The spec's ``adaptive`` flag decides which of the
     two estimator classes comes back, so both kinds share this builder.
     """
-    from repro.api.registry import config_from_spec
     from repro.core.pipeline import train_opt_hash
 
-    training = train_opt_hash(
-        context["prefix"], config_from_spec(spec), featurizer=context.get("featurizer")
-    )
-    return training.estimator
+    return train_opt_hash(
+        context["prefix"], spec, featurizer=context.get("featurizer")
+    ).estimator
 
 
 def _check_mergeable_schemes(first, second) -> None:
@@ -82,13 +80,93 @@ def _check_mergeable_schemes(first, second) -> None:
         )
 
 
+class _BucketAverageEstimator(FrequencyEstimator):
+    """State both opt-hash estimators share: per-bucket ``φ_j`` and ``c_j``.
+
+    A subclass seeds the two arrays in its constructor and then calls
+    :meth:`_snapshot_seed`.  The public classes derive from this one, never
+    from each other, so ``merge`` keeps rejecting a static/adaptive mix.
+    """
+
+    def __init__(self, scheme: OptHashScheme, seed, backend, count_stored_ids) -> None:
+        self.scheme = scheme
+        self.seed = seed
+        self.backend = backend
+        self._kernel = get_backend(backend)
+        self._count_stored_ids = count_stored_ids
+        self._bucket_totals = np.zeros(scheme.num_buckets)
+        self._bucket_counts = np.zeros(scheme.num_buckets)
+
+    def _snapshot_seed(self) -> None:
+        # Post-seed snapshots: merge() folds in only the *ingested* deltas of
+        # the other estimator, so shards that each start from the same prefix
+        # seeding do not double-count it when collapsed.
+        self._initial_totals = self._bucket_totals.copy()
+        self._initial_counts = self._bucket_counts.copy()
+
+    def _check_merge(self, other) -> None:
+        """Reject a merge partner of another class, scheme or seeding."""
+        if not isinstance(other, type(self)):
+            raise IncompatibleSketchError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}"
+            )
+        _check_mergeable_schemes(self, other)
+        if not np.array_equal(self._initial_totals, other._initial_totals):
+            raise IncompatibleSketchError(
+                "initial bucket seedings differ: merged estimators must be "
+                "built from the same prefix frequencies"
+            )
+
+    def _add_deltas(self, other):
+        """Fold in what ``other`` accumulated after its seeding."""
+        self._bucket_totals += other._bucket_totals - other._initial_totals
+        self._bucket_counts += other._bucket_counts - other._initial_counts
+        return self
+
+    def _bucket_averages(self, buckets: np.ndarray) -> np.ndarray:
+        """``φ_j / c_j`` for each of ``buckets`` (0 where ``c_j`` is 0)."""
+        counts = self._bucket_counts[buckets]
+        totals = self._bucket_totals[buckets]
+        return np.divide(totals, counts, out=np.zeros_like(totals), where=counts != 0)
+
+    def bucket_average(self, bucket: int) -> float:
+        """Current average frequency of a bucket (0 if empty)."""
+        count = self._bucket_counts[bucket]
+        return float(self._bucket_totals[bucket] / count) if count else 0.0
+
+    def _describe_params(self) -> dict:
+        params = {
+            "num_buckets": self.scheme.num_buckets,
+            "num_stored_ids": self.scheme.num_stored_ids,
+            "classifier": (
+                type(self.scheme.classifier).__name__
+                if self.scheme.classifier is not None
+                else None
+            ),
+            "seed": self.seed,
+        }
+        if self.backend != "auto":
+            params["backend"] = self.backend
+        return params
+
+    @property
+    def bucket_totals(self) -> np.ndarray:
+        """Aggregate frequency ``φ_j`` per bucket."""
+        return self._bucket_totals.copy()
+
+    @property
+    def bucket_counts(self) -> np.ndarray:
+        """Element count ``c_j`` per bucket."""
+        return self._bucket_counts.copy()
+
+
 @register_estimator(
     "opt_hash",
     spec_cls=OptHashSpec,
     builder=_build_opt_hash,
     requires_training=True,
 )
-class OptHashEstimator(FrequencyEstimator):
+class OptHashEstimator(_BucketAverageEstimator):
     """The static opt-hash estimator.
 
     Parameters
@@ -116,13 +194,7 @@ class OptHashEstimator(FrequencyEstimator):
         seed: Optional[int] = None,
         backend: str = "auto",
     ) -> None:
-        self.scheme = scheme
-        self.seed = seed
-        self.backend = backend
-        self._kernel = get_backend(backend)
-        self._count_stored_ids = count_stored_ids
-        self._bucket_totals = np.zeros(scheme.num_buckets)
-        self._bucket_counts = np.zeros(scheme.num_buckets)
+        super().__init__(scheme, seed, backend, count_stored_ids)
         if initial_frequencies:
             for key, frequency in initial_frequencies.items():
                 bucket = scheme.key_to_bucket.get(key)
@@ -137,11 +209,7 @@ class OptHashEstimator(FrequencyEstimator):
             # reflect the scheme so queries average over the right population.
             for bucket in scheme.key_to_bucket.values():
                 self._bucket_counts[bucket] += 1.0
-        # Post-seed snapshots: merge() folds in only the *ingested* deltas of
-        # the other estimator, so shards that each start from the same prefix
-        # seeding do not double-count it when collapsed.
-        self._initial_totals = self._bucket_totals.copy()
-        self._initial_counts = self._bucket_counts.copy()
+        self._snapshot_seed()
 
     # ------------------------------------------------------------------
     # FrequencyEstimator interface
@@ -194,23 +262,14 @@ class OptHashEstimator(FrequencyEstimator):
             )
 
     def estimate(self, element: Element) -> float:
-        bucket = self.scheme.bucket_of(element)
-        count = self._bucket_counts[bucket]
-        if count == 0:
-            return 0.0
-        return float(self._bucket_totals[bucket] / count)
+        return self.bucket_average(self.scheme.bucket_of(element))
 
     def estimate_batch(self, keys) -> np.ndarray:
         """Vectorized point queries: one batched bucket resolution + gather."""
         items = keys if isinstance(keys, np.ndarray) else list(keys)
         if len(items) == 0:
             return np.zeros(0, dtype=np.float64)
-        buckets = self.scheme.buckets_batch(items, kernel=self._kernel)
-        counts = self._bucket_counts[buckets]
-        totals = self._bucket_totals[buckets]
-        return np.divide(
-            totals, counts, out=np.zeros_like(totals), where=counts != 0
-        )
+        return self._bucket_averages(self.scheme.buckets_batch(items, kernel=self._kernel))
 
     def merge(self, other: "OptHashEstimator") -> "OptHashEstimator":
         """Fold another shard's *ingested* arrivals into this estimator.
@@ -220,65 +279,21 @@ class OptHashEstimator(FrequencyEstimator):
         each bucket accumulated after construction.  Bucket updates are
         integer-valued, so as long as the stream stays below 2^53 arrivals
         per bucket the merged totals are bit-identical to single-estimator
-        ingestion of the concatenated streams.
+        ingestion of the concatenated streams.  The static estimator never
+        changes its element counts after seeding, so their delta is zero.
         """
-        if not isinstance(other, OptHashEstimator):
-            raise IncompatibleSketchError(
-                f"cannot merge OptHashEstimator with {type(other).__name__}"
-            )
-        _check_mergeable_schemes(self, other)
-        if not np.array_equal(self._initial_totals, other._initial_totals):
-            raise IncompatibleSketchError(
-                "initial bucket seedings differ: merged estimators must be "
-                "built from the same prefix frequencies"
-            )
-        self._bucket_totals += other._bucket_totals - other._initial_totals
-        # The static estimator never mutates the element counts after
-        # seeding, so there is no count delta to transfer.
-        return self
+        self._check_merge(other)
+        return self._add_deltas(other)
 
     @property
     def size_bytes(self) -> int:
         stored_ids = self.scheme.num_stored_ids if self._count_stored_ids else 0
         return BYTES_PER_BUCKET * (self.scheme.num_buckets + stored_ids)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def _describe_params(self) -> dict:
-        params = {
-            "num_buckets": self.scheme.num_buckets,
-            "num_stored_ids": self.scheme.num_stored_ids,
-            "classifier": (
-                type(self.scheme.classifier).__name__
-                if self.scheme.classifier is not None
-                else None
-            ),
-            "seed": self.seed,
-        }
-        if self.backend != "auto":
-            params["backend"] = self.backend
-        return params
-
     @property
     def kernel_backend(self) -> str:
         """The kernel backend executing the probe-table ingest and lookups."""
         return self._kernel.name
-
-    @property
-    def bucket_totals(self) -> np.ndarray:
-        """Aggregate frequency ``φ_j`` per bucket."""
-        return self._bucket_totals.copy()
-
-    @property
-    def bucket_counts(self) -> np.ndarray:
-        """Element count ``c_j`` per bucket."""
-        return self._bucket_counts.copy()
-
-    def bucket_average(self, bucket: int) -> float:
-        """Current average frequency of a bucket (0 if empty)."""
-        count = self._bucket_counts[bucket]
-        return float(self._bucket_totals[bucket] / count) if count else 0.0
 
 
 @register_estimator(
@@ -287,7 +302,7 @@ class OptHashEstimator(FrequencyEstimator):
     builder=_build_opt_hash,
     requires_training=True,
 )
-class AdaptiveOptHashEstimator(FrequencyEstimator):
+class AdaptiveOptHashEstimator(_BucketAverageEstimator):
     """The adaptive (Bloom-filter) opt-hash estimator of Section 5.3.
 
     Parameters
@@ -320,13 +335,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
         count_stored_ids: bool = False,
         backend: str = "auto",
     ) -> None:
-        self.scheme = scheme
-        self.seed = seed
-        self.backend = backend
-        self._kernel = get_backend(backend)
-        self._count_stored_ids = count_stored_ids
-        self._bucket_totals = np.zeros(scheme.num_buckets)
-        self._bucket_counts = np.zeros(scheme.num_buckets)
+        super().__init__(scheme, seed, backend, count_stored_ids)
         if bloom_bits is not None:
             self._bloom = BloomFilter(
                 num_bits=bloom_bits,
@@ -353,9 +362,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
             for key, bucket in scheme.key_to_bucket.items():
                 self._bucket_counts[bucket] += 1.0
                 self._bloom.add(key)
-        # Post-seed snapshots for delta-based merging (see OptHashEstimator).
-        self._initial_totals = self._bucket_totals.copy()
-        self._initial_counts = self._bucket_counts.copy()
+        self._snapshot_seed()
 
     @property
     def routes_by_features(self) -> bool:
@@ -410,11 +417,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
             # The paper multiplies the bucket average by BF(u): elements never
             # marked as seen are estimated as zero.
             return 0.0
-        bucket = self.scheme.bucket_of(element)
-        count = self._bucket_counts[bucket]
-        if count == 0:
-            return 0.0
-        return float(self._bucket_totals[bucket] / count)
+        return self.bucket_average(self.scheme.bucket_of(element))
 
     def estimate_batch(self, keys) -> np.ndarray:
         """Vectorized point queries gated by batched Bloom membership."""
@@ -432,11 +435,8 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
                 if isinstance(items, np.ndarray)
                 else [items[i] for i in indices]
             )
-            buckets = self.scheme.buckets_batch(subset, kernel=self._kernel)
-            counts = self._bucket_counts[buckets]
-            totals = self._bucket_totals[buckets]
-            estimates[indices] = np.divide(
-                totals, counts, out=np.zeros_like(totals), where=counts != 0
+            estimates[indices] = self._bucket_averages(
+                self.scheme.buckets_batch(subset, kernel=self._kernel)
             )
         return estimates
 
@@ -452,20 +452,9 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
         shard's ``c_j``, so merged element counts can exceed the serial ones
         — use key partitioning when exact adaptive semantics matter.
         """
-        if not isinstance(other, AdaptiveOptHashEstimator):
-            raise IncompatibleSketchError(
-                f"cannot merge AdaptiveOptHashEstimator with {type(other).__name__}"
-            )
-        _check_mergeable_schemes(self, other)
-        if not np.array_equal(self._initial_totals, other._initial_totals):
-            raise IncompatibleSketchError(
-                "initial bucket seedings differ: merged estimators must be "
-                "built from the same prefix frequencies"
-            )
+        self._check_merge(other)
         self._bloom.merge(other._bloom)
-        self._bucket_totals += other._bucket_totals - other._initial_totals
-        self._bucket_counts += other._bucket_counts - other._initial_counts
-        return self
+        return self._add_deltas(other)
 
     @property
     def size_bytes(self) -> int:
@@ -477,20 +466,7 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
         )
 
     def _describe_params(self) -> dict:
-        params = {
-            "num_buckets": self.scheme.num_buckets,
-            "num_stored_ids": self.scheme.num_stored_ids,
-            "classifier": (
-                type(self.scheme.classifier).__name__
-                if self.scheme.classifier is not None
-                else None
-            ),
-            "bloom_bits": self._bloom.num_bits,
-            "seed": self.seed,
-        }
-        if self.backend != "auto":
-            params["backend"] = self.backend
-        return params
+        return {**super()._describe_params(), "bloom_bits": self._bloom.num_bits}
 
     @property
     def kernel_backend(self) -> str:
@@ -500,11 +476,3 @@ class AdaptiveOptHashEstimator(FrequencyEstimator):
     @property
     def bloom_filter(self) -> BloomFilter:
         return self._bloom
-
-    @property
-    def bucket_totals(self) -> np.ndarray:
-        return self._bucket_totals.copy()
-
-    @property
-    def bucket_counts(self) -> np.ndarray:
-        return self._bucket_counts.copy()

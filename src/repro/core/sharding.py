@@ -80,6 +80,7 @@ from repro.sketches.base import (
     IncompatibleSketchError,
     as_key_batch,
 )
+from repro.core.storage import close_estimator
 from repro.core.workers import WORKER_CHUNK_SIZE, ShardWorkerPool, WorkerDeadError
 from repro.sketches.hashing import fingerprint64_batch
 from repro.sketches.serialization import (
@@ -114,25 +115,14 @@ def _loads_dense(payload: bytes):
     return loads(payload)
 
 
-def _release_discarded(estimator) -> None:
-    """Close a replaced/throwaway estimator's storage without the detach
-    copy (it is never used again)."""
-    release = getattr(estimator, "close", None)
-    if release is None:
-        return
-    try:
-        release(detach=False)
-    except TypeError:
-        release()
-
-
 def _shard_worker(transport, keys, counts) -> bytes:
     """Process-pool task: materialize a blank shard, ingest, ship state back.
 
     ``transport`` is ``("spec", spec_dict)`` for spec-built sharded
     estimators — the worker constructs the blank from the declarative spec,
-    which is tiny and always picklable — or ``("bytes", blob)`` for the
-    legacy closure-factory path, where the parent ships a cached blank
+    which is tiny and always picklable — or ``("bytes", blob)`` for shards
+    from a callable factory (the registry's sharded opt-hash builder wraps
+    one trained scheme this way), where the parent ships a cached blank
     serialization instead.
     """
     mode, payload = transport
@@ -178,38 +168,15 @@ def _build_sharded(cls, spec: ShardedSpec, context: dict) -> "ShardedEstimator":
         ),
     )
     if isinstance(spec.inner, OptHashSpec):
-        sharded = cls(_trained_shard_factory(spec.inner, context), **kwargs)
+        from repro.core.pipeline import train_opt_hash
+
+        training = train_opt_hash(
+            context["prefix"], spec.inner, featurizer=context.get("featurizer")
+        )
+        sharded = cls(training.new_estimator, **kwargs)
         sharded.estimator_spec = spec.inner
         return sharded
     return cls(spec.inner, **kwargs)
-
-
-def _trained_shard_factory(inner: OptHashSpec, context: dict) -> Callable:
-    """Train opt-hash once; return a factory of scheme-sharing shards."""
-    from repro.api.registry import config_from_spec
-    from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
-    from repro.core.pipeline import train_opt_hash
-
-    training = train_opt_hash(
-        context["prefix"], config_from_spec(inner), featurizer=context.get("featurizer")
-    )
-    scheme = training.scheme
-    initial = {
-        key: float(frequency)
-        for key, frequency in zip(training.stored_keys, training.stored_frequencies)
-    }
-    if inner.adaptive:
-        return lambda: AdaptiveOptHashEstimator(
-            scheme,
-            initial_frequencies=initial,
-            bloom_bits=inner.bloom_bits,
-            expected_distinct=inner.expected_distinct,
-            seed=inner.seed,
-            backend=inner.backend,
-        )
-    return lambda: OptHashEstimator(
-        scheme, initial_frequencies=initial, seed=inner.seed, backend=inner.backend
-    )
 
 
 @register_estimator("sharded", spec_cls=ShardedSpec, builder=_build_sharded)
@@ -324,13 +291,12 @@ class ShardedEstimator(FrequencyEstimator):
         # a callable factory is opaque.
         self._merge_factory = factory
         if self._spec_constructible:
-            base_dict = self.estimator_spec.to_dict()
-            had_storage = base_dict.pop("storage", None) is not None
-            had_storage = base_dict.pop("storage_path", None) is not None or had_storage
-            if had_storage:
-                from repro.api.registry import build as _build_dense
+            from repro.api.registry import build as _build_dense
 
-                self._merge_factory = lambda: _build_dense(base_dict)
+            dense_dict = self.estimator_spec.to_dict()
+            dense_dict.pop("storage", None)
+            dense_dict.pop("storage_path", None)
+            self._merge_factory = lambda: _build_dense(dense_dict)
         self._shard_spec_dict = None
         if transport == "shm":
             self._init_shm_shards(num_shards)
@@ -363,15 +329,12 @@ class ShardedEstimator(FrequencyEstimator):
         #: :meth:`enable_supervision`.
         self.supervised = False
         self._down_shards: set = set()
-        if executor == "process" and transport == "shm":
-            # The persistent worker pool spawns lazily (first ingest or
-            # warm_up), so deserialized instances can swap their shards in
-            # before any worker attaches a table.
-            pass
-        elif executor == "process":
-            # Both transports still need to_bytes on the *return* leg (the
-            # worker ships its ingested state back as bytes), so the shard
-            # type must be serializable either way.
+        # Under the shm transport the persistent worker pool spawns lazily
+        # (first ingest or warm_up), so deserialized instances can swap their
+        # shards in before any worker attaches a table.
+        if executor == "process" and transport != "shm":
+            # The worker ships its ingested state back as bytes, so the
+            # shard type must be serializable.
             if not hasattr(self.shards[0], "to_bytes"):
                 raise ValueError(
                     "the process executor needs serializable shards "
@@ -437,10 +400,6 @@ class ShardedEstimator(FrequencyEstimator):
         shard_dict["storage"] = "shm"
         shard_dict.pop("storage_path", None)
         self._shard_spec_dict = shard_dict
-        base_dict = self.estimator_spec.to_dict()
-        base_dict.pop("storage", None)
-        base_dict.pop("storage_path", None)
-        self._merge_factory = lambda: _api_build(base_dict)
         self.shards = [_api_build(shard_dict) for _ in range(num_shards)]
 
     def _ensure_workers(self) -> ShardWorkerPool:
@@ -1053,7 +1012,7 @@ class ShardedEstimator(FrequencyEstimator):
             # The build-time shard is dropped unused; release its storage
             # (shm-transport builds allocate one segment per shard) without
             # the keep-queryable detach copy.
-            _release_discarded(replaced)
+            close_estimator(replaced, detach=False)
         sharded._round_robin_offset = int(state.get("round_robin_offset", 0))
         sharded._collapsed = None
         return sharded

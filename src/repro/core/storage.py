@@ -584,3 +584,20 @@ class StorageBacked:
             except StorageError as error:
                 raise SerializationError(str(error)) from error
         setattr(self, self._STORAGE_FIELD, self._storage.array)
+
+
+def close_estimator(estimator, detach: bool) -> None:
+    """Release any estimator's storage backend (see :meth:`StorageBacked.close`).
+
+    ``detach=False`` is for objects being discarded (a replaced shard, a
+    rotated-out pane, a worker's attached twin at shutdown).  Estimators
+    without storage have no ``close`` or one that takes no ``detach``; the
+    latter get a plain ``close()``.
+    """
+    close = getattr(estimator, "close", None)
+    if close is None:
+        return
+    try:
+        close(detach=detach)
+    except TypeError:
+        close()

@@ -51,6 +51,7 @@ _LIVENESS_CHECK_SECONDS = 0.1
 _ERROR_MESSAGE_GRACE_SECONDS = 1.0
 
 
+from repro.core.storage import close_estimator
 from repro.errors import WorkerDeadError as _WorkerDeadErrorBase
 
 
@@ -144,9 +145,7 @@ def _worker_main(
         try:
             # Shutdown path: release the attached table without copying it
             # into a dense array this process is about to discard.
-            estimator.close(detach=False)
-        except TypeError:
-            estimator.close()
+            close_estimator(estimator, detach=False)
         except Exception:
             pass
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 import warnings
 from typing import Dict, List, Optional, Tuple
@@ -173,6 +174,24 @@ def unavailable_reason(name: str) -> Optional[str]:
     return _load_errors.get(name, "failed to load")
 
 
+#: Directory of the ``repro`` package; frames under it are library frames.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first frame outside ``repro``.
+
+    Counted from the function that calls this one, so a warning raised deep
+    inside a restore path points at the user's ``loads``/``restore`` call.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(
+        _PACKAGE_DIR
+    ):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def resolve_backend(requested: str = "auto", *, on_unavailable: str = "raise") -> str:
     """Map a requested backend name to the name that will actually run.
 
@@ -203,7 +222,7 @@ def resolve_backend(requested: str = "auto", *, on_unavailable: str = "raise") -
             f"kernel backend {requested!r} is unavailable ({reason}); "
             f"falling back to {fallback!r} (bit-identical)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         return fallback
     raise KernelError(

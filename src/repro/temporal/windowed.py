@@ -33,6 +33,7 @@ mass once per live pane in the merge.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.api.specs import (
     WindowedSpec,
     spec_from_dict,
 )
+from repro.core.storage import close_estimator
 from repro.sketches.base import FrequencyEstimator, IncompatibleSketchError
 from repro.sketches.serialization import (
     SerializationError,
@@ -74,50 +76,13 @@ def _pane_factory(inner: EstimatorSpec, context: Optional[dict]):
                 "phase: pass the observed stream prefix, e.g. "
                 "build(spec, prefix=prefix)"
             )
-        from repro.api.registry import config_from_spec
-        from repro.core.estimator import (
-            AdaptiveOptHashEstimator,
-            OptHashEstimator,
-        )
         from repro.core.pipeline import train_opt_hash
 
         training = train_opt_hash(
-            context["prefix"],
-            config_from_spec(inner),
-            featurizer=context.get("featurizer"),
+            context["prefix"], inner, featurizer=context.get("featurizer")
         )
-        scheme = training.scheme
-        if inner.adaptive:
-            factory = lambda: AdaptiveOptHashEstimator(  # noqa: E731
-                scheme,
-                initial_frequencies={},
-                bloom_bits=inner.bloom_bits,
-                expected_distinct=inner.expected_distinct,
-                seed=inner.seed,
-                backend=inner.backend,
-            )
-        else:
-            factory = lambda: OptHashEstimator(  # noqa: E731
-                scheme, initial_frequencies={}, seed=inner.seed, backend=inner.backend
-            )
-        return factory, training
+        return partial(training.new_estimator, seeded=False), training
     return (lambda: build(inner)), None
-
-
-def _close_estimator(estimator, discard: bool) -> None:
-    """Release an estimator's storage backend, tolerating every base kind.
-
-    ``discard=True`` skips the detach-to-dense copy (the object is being
-    dropped — a rotated-out pane, a stale merged cache) so owned shm
-    segments unlink immediately instead of surviving as dense copies.
-    """
-    close = getattr(estimator, "close", None)
-    if close is None:
-        return
-    try:
-        close(detach=not discard)
-    except TypeError:
-        close()
 
 
 def _build_windowed(cls, spec: WindowedSpec, context: dict):
@@ -243,7 +208,7 @@ class SlidingWindowSketch(FrequencyEstimator):
     def _rotate(self) -> None:
         """Advance the head; the oldest pane is dropped and rebuilt blank."""
         slot = (self._head + 1) % self.num_panes
-        _close_estimator(self._panes[slot], discard=True)
+        close_estimator(self._panes[slot], detach=False)
         self._panes[slot] = self._factory()
         self._head = slot
         self._fill = 0
@@ -356,7 +321,7 @@ class SlidingWindowSketch(FrequencyEstimator):
         """
         if self._dirty or self._merged_cache is None:
             if self._merged_cache is not None:
-                _close_estimator(self._merged_cache, discard=True)
+                close_estimator(self._merged_cache, detach=False)
                 self._merged_cache = None
             merged = self._factory()
             for age in range(self.num_panes - 1, -1, -1):
@@ -506,9 +471,9 @@ class SlidingWindowSketch(FrequencyEstimator):
     def close(self) -> None:
         """Release pane storage backends (panes stay queryable, detached)."""
         for pane in self._panes:
-            _close_estimator(pane, discard=False)
+            close_estimator(pane, detach=True)
         if self._merged_cache is not None:
-            _close_estimator(self._merged_cache, discard=True)
+            close_estimator(self._merged_cache, detach=False)
             self._merged_cache = None
             self._dirty = True
 

@@ -207,6 +207,7 @@ class TestOptHashDeterminism:
                 "seed": 3,
             },
             "num_shards": 3,
+            "mode": "key-partition",
         }
         sharded = api.build(spec, prefix=prefix)
         schemes = {id(shard.scheme) for shard in sharded.shards}
@@ -214,7 +215,28 @@ class TestOptHashDeterminism:
         keys = [element.key for element in prefix.arrivals[:200]]
         sharded.update_batch(keys)
         collapsed = sharded.collapse()
-        single = api.build(spec["inner"], prefix=prefix)
-        # Not the same training run, so only check the collapse is queryable.
-        assert collapsed.estimate_batch(keys[:5]).shape == (5,)
-        assert single.estimate_batch(keys[:5]).shape == (5,)
+        # A separate (seeded, hence identical) training run fed the same keys.
+        single = api.train(spec["inner"], prefix).estimator
+        single.update_batch(keys)
+        np.testing.assert_array_equal(collapsed.bucket_totals, single.bucket_totals)
+        np.testing.assert_array_equal(collapsed.bucket_counts, single.bucket_counts)
+        np.testing.assert_array_equal(
+            collapsed.estimate_batch(keys), single.estimate_batch(keys)
+        )
+
+    @pytest.mark.parametrize("wrapper", ["sharded", "sliding_window"])
+    def test_wrapped_opt_hash_learns_once(self, prefix, monkeypatch, wrapper):
+        from repro.core import pipeline
+
+        solves = []
+        solve = pipeline.learn_hashing_scheme
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "learn_hashing_scheme", counting_solve)
+        inner = {"kind": "opt_hash", "num_buckets": 4, "solver": "bcd", "seed": 3}
+        size = {"sharded": "num_shards", "sliding_window": "num_panes"}[wrapper]
+        api.build({"kind": wrapper, "inner": inner, size: 3}, prefix=prefix)
+        assert len(solves) == 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core.pipeline import OptHashConfig, replay, train_opt_hash
+from repro.api.specs import OptHashSpec
+from repro.core.pipeline import replay, train_opt_hash
 from repro.streams.stream import Element, FrequencyVector, Stream
 from repro.streams.synthetic import SyntheticConfig, SyntheticGenerator
 
@@ -20,7 +21,7 @@ def prefix_and_stream():
 
 
 def _train(prefix, adaptive):
-    config = OptHashConfig(
+    config = OptHashSpec(
         num_buckets=8,
         lam=0.5,
         solver="bcd",

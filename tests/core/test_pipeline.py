@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api.specs import OptHashSpec, SpecError
 from repro.core.estimator import AdaptiveOptHashEstimator, OptHashEstimator
 from repro.core.pipeline import (
-    OptHashConfig,
     sample_prefix_elements,
     split_bucket_budget,
     train_opt_hash,
@@ -74,10 +74,32 @@ class TestSamplePrefixElements:
 class TestTrainOptHash:
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
-            train_opt_hash(StreamPrefix(arrivals=[]), OptHashConfig())
+            train_opt_hash(StreamPrefix(arrivals=[]), OptHashSpec())
+
+    def test_accepts_spec_dict(self, toy_prefix):
+        spec = {"kind": "adaptive_opt_hash", "num_buckets": 2, "solver": "dp", "seed": 0}
+        from_dict = train_opt_hash(toy_prefix, spec)
+        from_spec = train_opt_hash(toy_prefix, OptHashSpec.from_dict(spec))
+        assert isinstance(from_dict.estimator, AdaptiveOptHashEstimator)
+        assert from_dict.spec.to_dict() == spec
+        assert from_dict.scheme.key_to_bucket == from_spec.scheme.key_to_bucket
+
+    def test_rejects_non_opt_hash_spec(self, toy_prefix):
+        with pytest.raises(SpecError, match="opt-hash"):
+            train_opt_hash(toy_prefix, {"kind": "count_min", "width": 8, "depth": 2})
+
+    def test_new_estimator_shares_the_scheme(self, toy_prefix):
+        training = train_opt_hash(toy_prefix, OptHashSpec(num_buckets=2, solver="dp", seed=0))
+        seeded = training.new_estimator()
+        blank = training.new_estimator(seeded=False)
+        assert seeded.scheme is blank.scheme is training.scheme
+        assert seeded is not training.estimator
+        np.testing.assert_array_equal(seeded.bucket_totals, training.estimator.bucket_totals)
+        np.testing.assert_array_equal(blank.bucket_totals, np.zeros(2))
+        np.testing.assert_array_equal(blank.bucket_counts, seeded.bucket_counts)
 
     def test_training_produces_consistent_scheme(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", seed=0)
+        config = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", seed=0)
         result = train_opt_hash(toy_prefix, config)
         assert set(result.scheme.key_to_bucket) == {"a", "b", "c", "d"}
         # Elements with close frequencies (6,5) and (1,2) share buckets.
@@ -87,28 +109,28 @@ class TestTrainOptHash:
         assert scheme.key_to_bucket["a"] != scheme.key_to_bucket["c"]
 
     def test_estimator_answers_prefix_averages(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", seed=0)
+        config = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", seed=0)
         estimator = train_opt_hash(toy_prefix, config).estimator
         assert isinstance(estimator, OptHashEstimator)
         assert estimator.estimate(Element(key="a")) == pytest.approx(5.5)
         assert estimator.estimate(Element(key="c")) == pytest.approx(1.5)
 
     def test_unseen_elements_estimated_via_classifier(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=0.5, solver="bcd", classifier="cart", seed=0)
+        config = OptHashSpec(num_buckets=2, lam=0.5, solver="bcd", classifier="cart", seed=0)
         estimator = train_opt_hash(toy_prefix, config).estimator
         # Feature 5.2 resembles the low-frequency group (c, d).
         unseen = Element.with_features("e", [5.2])
         assert estimator.estimate(unseen) == pytest.approx(1.5)
 
     def test_classifier_disabled_falls_back_to_bucket_zero(self, toy_prefix):
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", classifier=None, seed=0)
+        config = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", classifier=None, seed=0)
         result = train_opt_hash(toy_prefix, config)
         assert result.classifier is None
         unseen = Element.with_features("zzz", [100.0])
         assert result.scheme.bucket_of(unseen) == 0
 
     def test_max_stored_elements_caps_hash_table(self, small_prefix):
-        config = OptHashConfig(
+        config = OptHashSpec(
             num_buckets=4, lam=1.0, solver="dp", max_stored_elements=5, seed=0
         )
         result = train_opt_hash(small_prefix, config)
@@ -116,7 +138,7 @@ class TestTrainOptHash:
         assert len(result.stored_keys) == 5
 
     def test_adaptive_configuration_builds_adaptive_estimator(self, toy_prefix):
-        config = OptHashConfig(
+        config = OptHashSpec(
             num_buckets=2, lam=1.0, solver="dp", adaptive=True, expected_distinct=100, seed=0
         )
         estimator = train_opt_hash(toy_prefix, config).estimator
@@ -128,14 +150,14 @@ class TestTrainOptHash:
         prefix = StreamPrefix(arrivals=arrivals)
         featurizer_model = QueryFeaturizer(vocabulary_size=10)
         featurizer_model.fit([e.key for e in prefix.distinct_elements()])
-        config = OptHashConfig(num_buckets=2, lam=1.0, solver="dp", classifier="cart", seed=0)
+        config = OptHashSpec(num_buckets=2, lam=1.0, solver="dp", classifier="cart", seed=0)
         result = train_opt_hash(
             prefix, config, featurizer=lambda e: featurizer_model.transform_one(str(e.key))
         )
         assert result.stored_features.shape[1] == featurizer_model.num_features
 
     def test_classifier_tuning_runs_grid_search(self, small_prefix):
-        config = OptHashConfig(
+        config = OptHashSpec(
             num_buckets=3,
             lam=0.5,
             solver="bcd",
@@ -150,7 +172,7 @@ class TestTrainOptHash:
         assert 0.0 <= result.classifier_cv_score <= 1.0
 
     def test_reproducible_with_seed(self, small_prefix):
-        config = OptHashConfig(num_buckets=4, lam=0.5, solver="bcd", seed=11)
+        config = OptHashSpec(num_buckets=4, lam=0.5, solver="bcd", seed=11)
         first = train_opt_hash(small_prefix, config)
         second = train_opt_hash(small_prefix, config)
         np.testing.assert_array_equal(
@@ -158,7 +180,7 @@ class TestTrainOptHash:
         )
 
     def test_single_bucket_degenerate_case(self, toy_prefix):
-        config = OptHashConfig(num_buckets=1, lam=1.0, solver="dp", seed=0)
+        config = OptHashSpec(num_buckets=1, lam=1.0, solver="dp", seed=0)
         result = train_opt_hash(toy_prefix, config)
         estimator = result.estimator
         # Everything shares one bucket: the estimate is the global average.

@@ -346,6 +346,33 @@ class TestEdges:
         sketch.tick()
         assert sketch.estimate_batch(probe)[0] == 0.0
 
+    @staticmethod
+    def opt_hash_window(prefix, adaptive=False):
+        inner = repro.OptHashSpec(
+            adaptive=adaptive, num_buckets=3, solver="bcd", classifier="cart", seed=1
+        )
+        return build(WindowedSpec(inner, num_panes=3), prefix=prefix)
+
+    def test_opt_hash_panes_start_from_empty_bucket_totals(self, toy_prefix):
+        sketch = self.opt_hash_window(toy_prefix)
+        for pane in sketch._panes:
+            np.testing.assert_array_equal(pane.bucket_totals, np.zeros(3))
+        sketch.update_batch(toy_prefix.arrivals)
+        filled = sketch._head_pane()
+        assert filled.bucket_totals.sum() == len(toy_prefix.arrivals)
+        for _ in range(3):  # rotate every pane out once, the filled one last
+            sketch.tick()
+        rotated_in = sketch._head_pane()
+        assert rotated_in is not filled
+        np.testing.assert_array_equal(rotated_in.bucket_totals, np.zeros(3))
+
+    def test_adaptive_opt_hash_pane_bloom_holds_every_stored_key(self, toy_prefix):
+        sketch = self.opt_hash_window(toy_prefix, adaptive=True)
+        stored = sketch.training_result.stored_keys
+        assert stored
+        for pane in sketch._panes:
+            assert all(key in pane.bloom_filter for key in stored)
+
     def test_window_state_reports_pane_arrivals_youngest_first(self):
         sketch = windowed("exact_counter", num_panes=3)
         sketch.update_batch(["a"] * 4)
